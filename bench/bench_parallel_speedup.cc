@@ -1,16 +1,14 @@
-// Parallel-engine speedup harness: times the three pooled hot paths —
-// Monte-Carlo grid estimation, source bootstrap, dynamic bucket search —
-// at thread counts 1, 2, 4, ..., hardware_concurrency, verifies that every
-// parallel result is BIT-IDENTICAL to the serial one (the Rng::Split()
-// stream-per-task contract), and writes machine-readable rows to
-// bench_out.json (see BenchRow in bench_util.h) for cross-PR trajectory
-// tracking.
+// Parallel-engine speedup harness: times the two pooled hot paths —
+// Monte-Carlo grid estimation and source bootstrap — at thread counts 1, 2,
+// 4, ..., hardware_concurrency, verifies that every parallel result is
+// BIT-IDENTICAL to the serial one (the Rng::Split() stream-per-task
+// contract), and writes machine-readable rows to bench_out.json (see
+// BenchRow in bench_util.h) for cross-PR trajectory tracking.
 //
 // Expected shape: near-linear Monte-Carlo scaling up to the physical core
-// count (the grid points are uniform-cost and allocation-free), good
+// count (the grid points are uniform-cost and allocation-free) and good
 // bootstrap scaling (replicates evaluate over the columnar SampleView —
-// see bench_bootstrap for the columnar-vs-materialized comparison), and
-// modest dynamic-bucket gains (the scan is memory-bound closed-form math).
+// see bench_bootstrap for the columnar-vs-materialized comparison).
 // UUQ_REPS raises the repetition count; timings report the best rep.
 #include <algorithm>
 #include <chrono>
@@ -88,8 +86,8 @@ int main() {
   std::vector<BenchRow> rows;
 
   bench::PrintHeader(
-      "Parallel estimation engine speedup (thread-pooled MC grid, bootstrap, "
-      "dynamic buckets)",
+      "Parallel estimation engine speedup (thread-pooled MC grid, "
+      "bootstrap)",
       "near-linear MC scaling to the core count; identical estimates at "
       "every thread count");
   std::printf("hardware_concurrency=%u  reps=%d (best-of)\n\n",
@@ -215,47 +213,6 @@ int main() {
                       static_cast<double>(ns), speedup});
       std::printf("%-14s threads=%-4d %14.3f %8.2fx\n", "bootstrap", threads,
                   ns / 1e6, speedup);
-    }
-
-    // ---- Dynamic bucket search -------------------------------------------
-    // A wide value range with hundreds of distinct values so the candidate
-    // scan crosses the parallel threshold.
-    IntegratedSample wide;
-    {
-      Rng rng(99);
-      for (int e = 0; e < 600; ++e) {
-        const double value = rng.NextUniform(0, 1e6);
-        const int copies = 1 + static_cast<int>(rng.NextBounded(4));
-        for (int m = 0; m < copies; ++m) {
-          wide.Add("w" + std::to_string(m), "e" + std::to_string(e), value);
-        }
-      }
-    }
-    const SortedEntityIndex wide_index(wide.entities());
-    const NaiveEstimator naive;
-    double dp_serial_ns = 0.0;
-    std::vector<size_t> dp_serial_bounds;
-    for (int threads : thread_counts) {
-      ThreadPool pool(threads);
-      const DynamicPartitioner partitioner(&pool);
-      std::vector<size_t> bounds;
-      const int64_t ns = BestOfRepsNs(
-          reps, [&] { bounds = partitioner.Partition(wide_index, naive); });
-      if (threads == 1) {
-        dp_serial_ns = static_cast<double>(ns);
-        dp_serial_bounds = bounds;
-      }
-      if (bounds != dp_serial_bounds) {
-        throw Fatal{"dynamic-bucket: parallel partition differs from serial "
-                    "at threads=" +
-                    std::to_string(threads)};
-      }
-      const double speedup = dp_serial_ns / static_cast<double>(ns);
-      rows.push_back({"dynamic-bucket",
-                      "threads=" + std::to_string(threads) + ",entities=600",
-                      static_cast<double>(ns), speedup});
-      std::printf("%-14s threads=%-4d %14.3f %8.2fx\n", "dynamic-bucket",
-                  threads, ns / 1e6, speedup);
     }
   } catch (const Fatal& fatal) {
     std::fprintf(stderr, "FATAL: %s\n", fatal.what.c_str());

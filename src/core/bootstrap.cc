@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <optional>
 
@@ -88,18 +87,6 @@ struct BatchSlot {
   ReplicateSample rep;
 };
 
-/// UUQ_MEGA_BATCH=0 disables cross-replicate batching (one-at-a-time
-/// evaluation, the conformance reference); anything else — including unset
-/// — leaves it on. Latched once: flipping the variable mid-process is not
-/// a supported way to reconfigure a running service.
-bool MegaBatchEnvEnabled() {
-  static const bool enabled = [] {
-    const char* value = std::getenv("UUQ_MEGA_BATCH");
-    return value == nullptr || value[0] != '0';
-  }();
-  return enabled;
-}
-
 }  // namespace
 
 BootstrapInterval BootstrapAggregate(
@@ -154,8 +141,7 @@ BootstrapInterval BootstrapAggregate(
   // interleaving), and the final read below happens after ParallelFor's
   // join, which already orders every task's stores before it.
   std::atomic<bool> aborted{false};
-  const bool use_batch = use_columnar && options.columnar_batch != nullptr &&
-                         MegaBatchEnvEnabled();
+  const bool use_batch = use_columnar && options.columnar_batch != nullptr;
 
   // Evaluates replicates [r_begin, r_end) into values[r_begin..r_end).
   // Tasks claim BLOCKS of consecutive replicates (options.replicate_block)

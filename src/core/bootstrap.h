@@ -118,7 +118,6 @@ struct BootstrapOptions {
   /// into one DeltaFromStatsBatch call (amortizing per-replicate kernel
   /// setup); results MUST be bit-identical to `columnar` per replicate —
   /// the engine freely mixes the two paths. Null means one-at-a-time.
-  /// Disabled at runtime by UUQ_MEGA_BATCH=0.
   std::function<void(const ReplicateSample* const*, size_t, double*)>
       columnar_batch;
 };

@@ -7,7 +7,6 @@
 
 #include "common/macros.h"
 #include "common/scratch_metrics.h"
-#include "common/thread_pool.h"
 #include "core/naive.h"
 #include "integration/sample_view.h"
 
@@ -114,15 +113,13 @@ int64_t IndexScratch::ApproxBytes() const {
   int64_t bytes = index_.ApproxBytes();
   bytes += VectorBytes(scatter_mult_) + VectorBytes(scatter_value_);
   bytes += VectorBytes(partition_.cuts) + VectorBytes(partition_.left_half) +
-           VectorBytes(partition_.right_half) +
-           VectorBytes(partition_.candidates) + VectorBytes(partition_.todo) +
+           VectorBytes(partition_.right_half) + VectorBytes(partition_.todo) +
            VectorBytes(partition_.done) + VectorBytes(partition_.memo_cuts) +
            VectorBytes(partition_.memo_delta) + VectorBytes(partition_.lane_n) +
            VectorBytes(partition_.lane_c) + VectorBytes(partition_.lane_f1) +
            VectorBytes(partition_.lane_mm1) +
            VectorBytes(partition_.lane_value_sum) +
            VectorBytes(partition_.lane_singleton_sum) +
-           VectorBytes(partition_.lane_needed) +
            VectorBytes(partition_.lane_delta) +
            VectorBytes(partition_.lane_map) +
            VectorBytes(partition_.root_left_cache);
@@ -137,7 +134,6 @@ void IndexScratch::Trim() {
   ReleaseVector(&partition_.cuts);
   ReleaseVector(&partition_.left_half);
   ReleaseVector(&partition_.right_half);
-  ReleaseVector(&partition_.candidates);
   ReleaseVector(&partition_.todo);
   ReleaseVector(&partition_.done);
   ReleaseVector(&partition_.memo_cuts);
@@ -148,7 +144,6 @@ void IndexScratch::Trim() {
   ReleaseVector(&partition_.lane_mm1);
   ReleaseVector(&partition_.lane_value_sum);
   ReleaseVector(&partition_.lane_singleton_sum);
-  ReleaseVector(&partition_.lane_needed);
   ReleaseVector(&partition_.lane_delta);
   ReleaseVector(&partition_.lane_map);
   ReleaseVector(&partition_.root_left_cache);
@@ -239,10 +234,11 @@ void SingleBucket(size_t size, std::vector<size_t>* bounds) {
 
 // Below this many candidates the per-scan fixed costs of the SoA path
 // (column growth checks, kernel prologue, vector epilogues) outweigh the
-// kernel win; tiny scans take the scalar path instead. Both paths produce
-// identical results, so the crossover is pure tuning. Shared by the root
-// scan and the mega-batch precompute, which must agree on whether a root
-// takes the batched path (a cache for a scalar-path root would go unread).
+// kernel win; tiny scans evaluate candidate by candidate instead. Both
+// paths produce identical results, so the crossover is pure tuning. Shared
+// by the root scan and the mega-batch precompute, which must agree on
+// whether a root takes the batched path (a cache for a per-candidate root
+// would go unread).
 constexpr size_t kMinBatchCuts = 8;
 
 }  // namespace
@@ -339,13 +335,11 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
   if (size == 0) return SingleBucket(0, bounds);
 
   constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kPruned = std::numeric_limits<double>::infinity();
   auto& todo = scratch->todo;
   auto& done = scratch->done;
   auto& cuts = scratch->cuts;
   auto& left_half = scratch->left_half;
   auto& right_half = scratch->right_half;
-  auto& candidates = scratch->candidates;
   auto& memo_cuts = scratch->memo_cuts;
   auto& memo_delta = scratch->memo_delta;
   todo.clear();
@@ -367,8 +361,8 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
   for (size_t head = 0; head < todo.size(); ++head) {
     // Bucket-granularity cancellation: a fired token finalizes every
     // pending bucket unsplit, so the bounds below are still a valid
-    // partition (just coarser than Algorithm 1's fixpoint) and no scan —
-    // and therefore no pool fan-out — starts after the token fires.
+    // partition (just coarser than Algorithm 1's fixpoint) and no scan
+    // starts after the token fires.
     if (cancel_.Fired()) {
       for (size_t i = head; i < todo.size(); ++i) {
         done.push_back({todo[i].begin, todo[i].end});
@@ -435,47 +429,53 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
     // already-known half is a lower bound (in FP too: fl is monotone and
     // adding a nonnegative term never shrinks the sum). A candidate whose
     // bound cannot go strictly below δmin can neither win the argmin nor
-    // move δmin, so its missing half is never computed (its slots stay NaN
-    // and its total reads +inf, which the argmin ignores); when even
-    // delta_rest ≥ δmin — e.g. a singleton-free bucket with Δ == 0 — the
-    // whole scan is skipped. Tiny scans (< kMinBatchCuts, file scope) take
-    // the scalar path instead of the SoA kernel.
-    if (delta_rest < delta_min && num_cuts >= kMinBatchCuts &&
-        mode_ == SplitScanMode::kBatched) {
-      // BATCHED SoA EVALUATION. Three phases per candidate block:
+    // move δmin, so its missing half is never computed (its slot stays NaN,
+    // which the argmin skips); when even delta_rest ≥ δmin — e.g. a
+    // singleton-free bucket with Δ == 0 — the whole scan is skipped. Tiny
+    // scans (< kMinBatchCuts, file scope) evaluate candidate by candidate
+    // instead of through the SoA kernel.
+    if (delta_rest < delta_min && num_cuts >= kMinBatchCuts) {
+      // BATCHED SoA EVALUATION, one block of kScanBlock candidates at a
+      // time, the pruning δmin refreshed between blocks: pruning against
+      // the δmin current at a block's start is valid for the same reason
+      // running-min pruning is (δmin only decreases, so total ≥ block-start
+      // δmin implies total ≥ every later δmin — the candidate can neither
+      // win the argmin nor move δmin), and every evaluation still runs
+      // through the vectorized kernel.
       //
-      //  1. GATHER: walk the block's candidates, record known halves, and
-      //     write each fresh half's O(1) Slice stats into the SoA columns —
-      //     candidate i's LEFT half at lane i, its RIGHT half at lane
-      //     num_cuts + i. A half that is already known (inherited from the
-      //     parent scan), or whose candidate's known-half bound already
-      //     reaches δmin, marks its lane inactive with n = 0 instead; note
-      //     a memoized candidate can still need BOTH halves when the
-      //     parent pruned it (its inherited slot is NaN). `needed` — what
-      //     a fresh half must reach for the candidate to be prunable —
-      //     carries a +δmin·1e-12 cushion so a pre-filter certificate also
-      //     covers the fl-association noise between the gather's bound sum
-      //     and the scalar path's delta_rest + left + right order.
-      //  2. KERNEL: one DeltaFromStatsBatch pass per gathered lane range
-      //     (the fused, auto-vectorized coverage/γ² chain).
-      //  3. FOLD: scatter active lanes back into the half arrays (NaN =
-      //     certified-prunable, treated exactly like a bound-pruned half)
-      //     and run the serial first-minimum argmin in candidate order.
-      //
-      // The serial path processes candidates in blocks and REFRESHES the
-      // pruning δmin between blocks: pruning against the δmin current at a
-      // candidate's block start is valid for the same reason scan-start
-      // pruning is (δmin only decreases, so total ≥ block-start δmin
-      // implies total ≥ every later δmin — the candidate can neither win
-      // the argmin nor move δmin), and it keeps the evaluated-lane count
-      // close to the scalar path's running-min sharpness while every
-      // evaluation still runs through the SIMD kernel. The pool fan-out
-      // path gathers everything against the scan-start δmin instead (every
-      // worker reads it race-free) — different lanes evaluated, identical
-      // partitions, exactly as PR 4's two pruning flavors.
-      const size_t num_lanes = 2 * num_cuts;
-      const auto grown = [num_lanes](std::vector<double>& column) {
-        if (column.size() < num_lanes) column.resize(num_lanes);
+      // PROBE SEEDING. A fresh two-sided scan (the root) starts with
+      // δmin = |Δ(whole bucket)|, which is far above the eventual minimum,
+      // so the first blocks would evaluate nearly everything. Evaluating
+      // ONE central candidate up front gives an upper bound on the scan
+      // minimum to prune against from lane one. The probe total is only a
+      // PRUNING reference, never folded early: found/best_index/delta_min
+      // still come from the in-order fold, so the outcome is unchanged —
+      // pruning against any value ≥ the global minimum, STRICTLY, preserves
+      // (min, first attainer) exactly.
+      constexpr size_t kScanBlock = 32;
+      double prune_seed = delta_min;
+      if (known == nullptr && num_cuts >= 2 * kScanBlock) {
+        // Probe the candidate nearest the previous partition's winning
+        // root cut (replicates are near-identical workloads), falling back
+        // to the middle candidate on the first call.
+        size_t probe_index = num_cuts / 2;
+        if (scratch->root_cut_hint != 0) {
+          const size_t* pos = std::lower_bound(cut_at, cut_at + num_cuts,
+                                               scratch->root_cut_hint);
+          probe_index =
+              std::min(static_cast<size_t>(pos - cut_at), num_cuts - 1);
+        }
+        const size_t probe_cut = cut_at[probe_index];
+        const double probe_total =
+            delta_rest + AbsDelta(inner, index.Slice(b_begin, probe_cut)) +
+            AbsDelta(inner, index.Slice(probe_cut, b_end));
+        if (probe_total < prune_seed) prune_seed = probe_total;
+      }
+
+      // A phase packs at most one block of lanes, from lane 0.
+      const size_t max_lanes = std::min(num_cuts, kScanBlock);
+      const auto grown = [max_lanes](std::vector<double>& column) {
+        if (column.size() < max_lanes) column.resize(max_lanes);
         return column.data();
       };
       double* UUQ_RESTRICT ln = grown(scratch->lane_n);
@@ -484,108 +484,94 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
       double* UUQ_RESTRICT lmm1 = grown(scratch->lane_mm1);
       double* UUQ_RESTRICT lvs = grown(scratch->lane_value_sum);
       double* UUQ_RESTRICT lss = grown(scratch->lane_singleton_sum);
-      double* UUQ_RESTRICT lneed = grown(scratch->lane_needed);
       double* lout = grown(scratch->lane_delta);
+      auto& lane_map = scratch->lane_map;
 
-      // `store_needed` is false on the serial path, which runs the kernel
-      // without the pre-filter (see PRE-FILTER ECONOMICS below) and never
-      // reads the thresholds. Returns false for a degenerate n == 0 slice
-      // (only zero-multiplicity points): the scalar AbsDelta convention
-      // (0.0) is recorded directly and the lane must not be evaluated.
-      const auto gather = [&](size_t lane, size_t slice_begin,
-                              size_t slice_end, double needed,
-                              double* half_slot, bool store_needed) {
-        const int64_t n = index.SliceColumnsInto(slice_begin, slice_end,
-                                                 lane, ln, lc, lf1, lmm1,
-                                                 lvs, lss);
+      // Gathers slice [slice_begin, slice_end) into the next free lane for
+      // candidate `i`. A degenerate n == 0 slice (only zero-multiplicity
+      // points) records the AbsDelta convention (0.0) directly instead.
+      const auto gather = [&](size_t i, size_t slice_begin, size_t slice_end,
+                              double* half_slot) {
+        const int64_t n = index.SliceColumnsInto(
+            slice_begin, slice_end, lane_map.size(), ln, lc, lf1, lmm1, lvs,
+            lss);
         if (n == 0) {
           *half_slot = 0.0;
-          return false;
+        } else {
+          lane_map.push_back(static_cast<uint32_t>(i));
         }
-        if (store_needed) lneed[lane] = needed;
-        return true;
       };
-      // Gathers candidates [cand_begin, cand_end) against `prune_min`;
-      // counts the active lanes per side so a side with none (a memoized
-      // scan's fully-known side) skips its kernel call outright.
-      size_t active_left = 0;
-      size_t active_right = 0;
-      const auto gather_range = [&](size_t cand_begin, size_t cand_end,
-                                    double prune_min, bool store_needed) {
-        active_left = 0;
-        active_right = 0;
-        for (size_t i = cand_begin; i < cand_end; ++i) {
-          const size_t cut = cut_at[i];
+      // One kernel pass over the gathered lanes, scattered into `half`.
+      const auto run_kernel = [&](double* half) {
+        if (lane_map.empty()) return;
+        StatsBatchView view;
+        view.size = lane_map.size();
+        view.n = ln;
+        view.c = lc;
+        view.f1 = lf1;
+        view.sum_mm1 = lmm1;
+        view.value_sum = lvs;
+        view.singleton_sum = lss;
+        inner.DeltaFromStatsBatch(view, lout);
+        for (size_t k = 0; k < lane_map.size(); ++k) {
+          half[lane_map[k]] = lout[k];
+        }
+      };
+
+      // MEGA-BATCH CACHE. When EstimateReplicateBatch precomputed this
+      // root's left halves (same gather, same kernel, one call spanning
+      // many replicates), phase 1 reads them instead of re-evaluating. Only
+      // the root qualifies (head == 0, no inherited memo) and the cut count
+      // must agree with the cache length — any mismatch means the cache
+      // describes some other index and is ignored. Value-identical by
+      // construction: at the root no half is known, so the bound below
+      // never prunes a left lane and EVERY left half is the kernel's output
+      // for its slice — exactly what the cache holds.
+      const double* root_cache =
+          (root_cache_armed && head == 0 && !work.has_memo &&
+           scratch->root_left_cache.size() == num_cuts)
+              ? scratch->root_left_cache.data()
+              : nullptr;
+      for (size_t cand = 0; cand < num_cuts; cand += kScanBlock) {
+        const size_t cand_end = std::min(num_cuts, cand + kScanBlock);
+        const double prune = std::min(prune_seed, delta_min);
+        // Phase 1: left lanes (and known-half bookkeeping). Prunable on
+        // known halves alone only when STRICTLY greater: `prune` may be
+        // probe-seeded (a candidate total, not a folded running min), and a
+        // candidate tying the eventual global minimum must stay.
+        lane_map.clear();
+        for (size_t i = cand; i < cand_end; ++i) {
           double left = kUnknown;
           double right = kUnknown;
           if (known != nullptr) (known_is_left ? left : right) = known[i];
-          const bool left_known = !std::isnan(left);
-          const bool right_known = !std::isnan(right);
           lhalf[i] = left;
           rhalf[i] = right;
+          const bool left_known = !std::isnan(left);
+          const bool right_known = !std::isnan(right);
           const double bound = delta_rest + (left_known ? left : 0.0) +
                                (right_known ? right : 0.0);
-          // Prunable on known halves alone. STRICTLY greater: prune_min may
-          // be probe-seeded (a candidate total, not a folded running min),
-          // and a candidate tying the eventual global minimum must stay —
-          // the fold's outcome is exactly (global min, its first attainer),
-          // which strict pruning can never touch.
-          if (bound > prune_min) {
-            ln[i] = 0;
-            ln[num_cuts + i] = 0;
+          if (bound > prune || left_known) continue;
+          if (root_cache != nullptr) {
+            lhalf[i] = root_cache[i];
             continue;
           }
-          const double needed = (prune_min - bound) + prune_min * 1e-12;
-          if (left_known) {
-            ln[i] = 0;
-          } else if (gather(i, b_begin, cut, needed, &lhalf[i],
-                            store_needed)) {
-            ++active_left;  // degenerate n == 0 lanes stay inactive
-          }
-          if (right_known) {
-            ln[num_cuts + i] = 0;
-          } else if (gather(num_cuts + i, cut, b_end, needed, &rhalf[i],
-                            store_needed)) {
-            ++active_right;
-          }
+          gather(i, b_begin, cut_at[i], &lhalf[i]);
         }
-      };
-      // PRE-FILTER ECONOMICS. Passing the lane thresholds lets the kernel
-      // blend NaN over candidates its multiplication-form pre-filter
-      // certifies prunable (chao92.h). On the serial replicate path that is
-      // a measured net LOSS: the vectorized kernel computes every lane's
-      // chain regardless (masking saves no cycles), and a masked half
-      // forfeits its memo inheritance — the child scan re-evaluates it as a
-      // fresh lane, one extra evaluation per certified candidate that
-      // splits. So the hot path passes nullptr (evaluate everything,
-      // inherit everything); the wide fan-out path keeps the filter live —
-      // its lanes are gathered against the stale scan-start δmin, and a
-      // top-level partition runs once per estimate, not once per replicate,
-      // so the certified-NaN markers cost nothing measurable there. Either
-      // choice is bit-identity-neutral: NaN and bound-pruned halves are
-      // handled identically, and certified candidates provably cannot win.
-      const auto run_kernel = [&](size_t lane_begin, size_t lane_end,
-                                  bool pre_filter) {
-        StatsBatchView view;
-        view.size = lane_end - lane_begin;
-        view.n = ln + lane_begin;
-        view.c = lc + lane_begin;
-        view.f1 = lf1 + lane_begin;
-        view.sum_mm1 = lmm1 + lane_begin;
-        view.value_sum = lvs + lane_begin;
-        view.singleton_sum = lss + lane_begin;
-        inner.DeltaFromStatsBatch(
-            view, pre_filter ? lneed + lane_begin : nullptr,
-            lout + lane_begin);
-      };
-      // Scatter + argmin over [cand_begin, cand_end). An active lane's NaN
-      // output stays NaN in the half slot: a certified-prunable half is
-      // recorded exactly like a bound-pruned one (children recompute it
-      // fresh — same expressions, same values).
-      const auto fold_range = [&](size_t cand_begin, size_t cand_end) {
-        for (size_t i = cand_begin; i < cand_end; ++i) {
-          if (ln[i] > 0) lhalf[i] = lout[i];
-          if (ln[num_cuts + i] > 0) rhalf[i] = lout[num_cuts + i];
+        run_kernel(lhalf);
+        // Phase 2: right lanes, gated on the now-known left halves. A NaN
+        // left marks a whole-pruned candidate; delta_rest + left above the
+        // reference prunes the right half (the candidate total only adds a
+        // nonnegative term, so it cannot come back below).
+        lane_map.clear();
+        for (size_t i = cand; i < cand_end; ++i) {
+          if (!std::isnan(rhalf[i])) continue;  // inherited or recorded
+          const double left = lhalf[i];
+          if (std::isnan(left) || delta_rest + left > prune) continue;
+          gather(i, cut_at[i], b_end, &rhalf[i]);
+        }
+        run_kernel(rhalf);
+        // Fold: pure in-order argmin (halves already scattered).
+        for (size_t i = cand; i < cand_end; ++i) {
           const double left = lhalf[i];
           const double right = rhalf[i];
           if (std::isnan(left) || std::isnan(right)) continue;  // pruned
@@ -596,166 +582,13 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
             found = true;
           }
         }
-      };
-
-      constexpr size_t kScanBlock = 32;
-      ThreadPool* pool = ThreadPool::OrDefault(pool_);
-      const int64_t pool_blocks =
-          static_cast<int64_t>((num_lanes + kScanBlock - 1) / kScanBlock);
-      if (pool_blocks >= 4 && !pool->WouldRunInline(pool_blocks)) {
-        // Wide top-level scan: gather everything against the scan-start
-        // δmin, fan the kernel out over the pool per SIDE — a side with no
-        // active lanes (a memoized scan's fully-known side) skips its
-        // dispatch outright — then fold serially.
-        gather_range(0, num_cuts, delta_min, /*store_needed=*/true);
-        const auto fan_out = [&](size_t lane_begin, size_t lane_end) {
-          const int64_t blocks = static_cast<int64_t>(
-              (lane_end - lane_begin + kScanBlock - 1) / kScanBlock);
-          pool->ParallelFor(0, blocks, [&](int64_t blk) {
-            const size_t begin =
-                lane_begin + static_cast<size_t>(blk) * kScanBlock;
-            run_kernel(begin, std::min(lane_end, begin + kScanBlock),
-                       /*pre_filter=*/true);
-          });
-        };
-        if (active_left > 0) fan_out(0, num_cuts);
-        if (active_right > 0) fan_out(num_cuts, num_lanes);
-        fold_range(0, num_cuts);
-      } else {
-        // Serial (the replicate hot path — no std::function, no pool):
-        // block-wise gather/kernel/fold with the δmin refreshed between
-        // blocks, so later blocks prune nearly as hard as the scalar
-        // running-min loop.
-        //
-        // PROBE SEEDING. A fresh two-sided scan (the root) starts with
-        // δmin = |Δ(whole bucket)|, which is far above the eventual
-        // minimum, so the first blocks would evaluate nearly everything.
-        // Evaluating ONE central candidate up front gives an upper bound on
-        // the scan minimum to prune against from lane one. The probe total
-        // is only a PRUNING reference (strictly-greater test above), never
-        // folded early: found/best_index/delta_min still come from the
-        // in-order fold, so the outcome is unchanged — pruning against any
-        // value ≥ the global minimum, strictly, preserves (min, first
-        // attainer) exactly.
-        double prune_seed = delta_min;
-        if (known == nullptr && num_cuts >= 2 * kScanBlock) {
-          // Probe the candidate nearest the previous partition's winning
-          // root cut (replicates are near-identical workloads), falling
-          // back to the middle candidate on the first call.
-          size_t probe_index = num_cuts / 2;
-          if (scratch->root_cut_hint != 0) {
-            const size_t* pos = std::lower_bound(
-                cut_at, cut_at + num_cuts, scratch->root_cut_hint);
-            probe_index = std::min(static_cast<size_t>(pos - cut_at),
-                                   num_cuts - 1);
-          }
-          const size_t probe_cut = cut_at[probe_index];
-          const double probe_total =
-              delta_rest + AbsDelta(inner, index.Slice(b_begin, probe_cut)) +
-              AbsDelta(inner, index.Slice(probe_cut, b_end));
-          if (probe_total < prune_seed) prune_seed = probe_total;
-        }
-        // TWO-PHASE COMPACT BLOCKS: left halves first, then right lanes
-        // only for candidates whose delta_rest + left can still go below
-        // the pruning reference — the batched form of the scalar path's
-        // intra-candidate prune (and the reason the probe seed bites: at
-        // the root no half is known, so the known-half bound can never
-        // prune, but a good seed kills most RIGHT halves the moment the
-        // left ones come back from the kernel). Surviving lanes are packed
-        // COMPACTLY from lane 0 through lane_map, so the kernel touches
-        // exactly the lanes that matter. A pruned right half stays NaN,
-        // exactly like the scalar path records it.
-        //
-        // MEGA-BATCH CACHE. When EstimateReplicateBatch precomputed this
-        // root's left halves (same gather, same kernel, one call spanning
-        // many replicates), phase 1 reads them instead of re-evaluating.
-        // Only the root qualifies (head == 0, no inherited memo) and the
-        // cut count must agree with the cache length — any mismatch means
-        // the cache describes some other index and is ignored. Value-
-        // identical by construction: at the root no half is known, so the
-        // bound above never prunes a left lane and EVERY left half is the
-        // kernel's output for its slice — exactly what the cache holds.
-        const double* root_cache =
-            (root_cache_armed && head == 0 && !work.has_memo &&
-             scratch->root_left_cache.size() == num_cuts)
-                ? scratch->root_left_cache.data()
-                : nullptr;
-        auto& lane_map = scratch->lane_map;
-        for (size_t cand = 0; cand < num_cuts; cand += kScanBlock) {
-          const size_t cand_end = std::min(num_cuts, cand + kScanBlock);
-          const double prune = std::min(prune_seed, delta_min);
-          // Phase 1: left lanes (and known-half bookkeeping).
-          lane_map.clear();
-          for (size_t i = cand; i < cand_end; ++i) {
-            const size_t cut = cut_at[i];
-            double left = kUnknown;
-            double right = kUnknown;
-            if (known != nullptr) (known_is_left ? left : right) = known[i];
-            lhalf[i] = left;
-            rhalf[i] = right;
-            const bool left_known = !std::isnan(left);
-            const bool right_known = !std::isnan(right);
-            const double bound = delta_rest + (left_known ? left : 0.0) +
-                                 (right_known ? right : 0.0);
-            if (bound > prune || left_known) continue;
-            if (root_cache != nullptr) {
-              lhalf[i] = root_cache[i];
-              continue;
-            }
-            if (gather(lane_map.size(), b_begin, cut, 0.0, &lhalf[i],
-                       false)) {
-              lane_map.push_back(static_cast<uint32_t>(i));
-            }
-          }
-          if (!lane_map.empty()) {
-            run_kernel(0, lane_map.size(), /*pre_filter=*/false);
-            for (size_t k = 0; k < lane_map.size(); ++k) {
-              lhalf[lane_map[k]] = lout[k];
-            }
-          }
-          // Phase 2: right lanes, gated on the now-known left halves. A
-          // NaN left marks a whole-pruned candidate; delta_rest + left
-          // above the reference prunes the right half (the candidate total
-          // only adds a nonnegative term, so it cannot come back below).
-          lane_map.clear();
-          for (size_t i = cand; i < cand_end; ++i) {
-            if (!std::isnan(rhalf[i])) continue;  // inherited or recorded
-            const double left = lhalf[i];
-            if (std::isnan(left) || delta_rest + left > prune) continue;
-            if (gather(lane_map.size(), cut_at[i], b_end, 0.0, &rhalf[i],
-                       false)) {
-              lane_map.push_back(static_cast<uint32_t>(i));
-            }
-          }
-          if (!lane_map.empty()) {
-            run_kernel(0, lane_map.size(), /*pre_filter=*/false);
-            for (size_t k = 0; k < lane_map.size(); ++k) {
-              rhalf[lane_map[k]] = lout[k];
-            }
-          }
-          // Fold: pure in-order argmin (halves already scattered).
-          for (size_t i = cand; i < cand_end; ++i) {
-            const double left = lhalf[i];
-            const double right = rhalf[i];
-            if (std::isnan(left) || std::isnan(right)) continue;  // pruned
-            const double total = delta_rest + left + right;
-            if (total < delta_min) {
-              delta_min = total;
-              best_index = i;
-              found = true;
-            }
-          }
-        }
-        // Remember the root's winning cut as the next partition's probe.
-        if (head == 0 && found) scratch->root_cut_hint = cut_at[best_index];
       }
+      // Remember the root's winning cut as the next partition's probe.
+      if (head == 0 && found) scratch->root_cut_hint = cut_at[best_index];
     } else if (delta_rest < delta_min && num_cuts > 0) {
-      // Evaluates candidate i against `prune_min`, records both halves
-      // (NaN where skipped) for the children, and returns the candidate
-      // total (+inf when pruned).
-      const auto evaluate = [&, b_begin, b_end](size_t i,
-                                                double prune_min) -> double {
-        const size_t cut = cut_at[i];
+      // Per-candidate evaluation against the running δmin. Both halves are
+      // recorded (NaN where skipped) for the children.
+      for (size_t i = 0; i < num_cuts; ++i) {
         double left = kUnknown;
         double right = kUnknown;
         if (known != nullptr) (known_is_left ? left : right) = known[i];
@@ -763,57 +596,22 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
         const bool right_known = !std::isnan(right);
         const double bound = delta_rest + (left_known ? left : 0.0) +
                              (right_known ? right : 0.0);
-        if (bound >= prune_min) {
-          lhalf[i] = left;
-          rhalf[i] = right;
-          return kPruned;
-        }
-        if (!left_known) {
-          left = AbsDelta(inner, index.Slice(b_begin, cut));
-          if (!right_known && delta_rest + left >= prune_min) {
-            lhalf[i] = left;
-            rhalf[i] = right;
-            return kPruned;
+        if (bound < delta_min) {
+          if (!left_known) {
+            left = AbsDelta(inner, index.Slice(b_begin, cut_at[i]));
+          }
+          if (!right_known && delta_rest + left < delta_min) {
+            right = AbsDelta(inner, index.Slice(cut_at[i], b_end));
           }
         }
-        if (!right_known) right = AbsDelta(inner, index.Slice(cut, b_end));
         lhalf[i] = left;
         rhalf[i] = right;
-        return delta_rest + left + right;
-      };
-      // Wide scans fan out over the pool (pruning against the scan-start
-      // δmin, which every worker can read race-free); each candidate writes
-      // only its own slots and the serial argmin keeps the first-minimum
-      // tie-break, so the result never depends on the thread count. Below
-      // ~64 candidates the closed-form slice math is cheaper than the
-      // dispatch; and when the dispatch would run inline anyway (1-thread
-      // pool, or nested inside a pool worker — every bootstrap replicate)
-      // skip even the std::function construction: the scan stays heap-free
-      // and the running δmin prunes harder, with the identical outcome.
-      ThreadPool* pool = ThreadPool::OrDefault(pool_);
-      const int64_t n64 = static_cast<int64_t>(num_cuts);
-      if (n64 >= 64 && !pool->WouldRunInline(n64)) {
-        candidates.resize(num_cuts);
-        const double prune_min = delta_min;
-        pool->ParallelFor(0, n64, [&](int64_t i) {
-          candidates[static_cast<size_t>(i)] =
-              evaluate(static_cast<size_t>(i), prune_min);
-        });
-        for (size_t i = 0; i < num_cuts; ++i) {
-          if (candidates[i] < delta_min) {
-            delta_min = candidates[i];
-            best_index = i;
-            found = true;
-          }
-        }
-      } else {
-        for (size_t i = 0; i < num_cuts; ++i) {
-          const double total = evaluate(i, delta_min);
-          if (total < delta_min) {
-            delta_min = total;
-            best_index = i;
-            found = true;
-          }
+        if (std::isnan(left) || std::isnan(right)) continue;  // pruned
+        const double total = delta_rest + left + right;
+        if (total < delta_min) {
+          delta_min = total;
+          best_index = i;
+          found = true;
         }
       }
     }
@@ -1088,8 +886,7 @@ void BucketSumEstimator::EstimateReplicateBatch(
     total_lanes += num_cuts;
   }
 
-  // One kernel call across every replicate's root lanes (no pre-filter:
-  // every value is needed — the cache must hold the exact left halves).
+  // One kernel call across every replicate's root lanes.
   if (total_lanes > 0) {
     StatsBatchView view;
     view.size = total_lanes;
@@ -1099,12 +896,12 @@ void BucketSumEstimator::EstimateReplicateBatch(
     view.sum_mm1 = col_mm1.data();
     view.value_sum = col_vs.data();
     view.singleton_sum = col_ss.data();
-    inner_->DeltaFromStatsBatch(view, nullptr, col_out.data());
+    inner_->DeltaFromStatsBatch(view, col_out.data());
   }
 
   // Phase B: hand each replicate its root column (only when the root scan
   // will actually take the batched path — below kMinBatchCuts it runs
-  // scalar and the cache would go unread) and finish on the normal path,
+  // candidate by candidate and the cache would go unread) and finish on the normal path,
   // minus the redundant second index rebuild.
   for (size_t k = 0; k < count; ++k) {
     IndexScratch& scratch = slot_pool[k];

@@ -170,32 +170,27 @@ struct PartitionScratch {
   std::vector<size_t> cuts;        ///< current scan's candidate cut positions
   std::vector<double> left_half;   ///< |Δ(begin,cut)| per candidate; NaN unknown
   std::vector<double> right_half;  ///< |Δ(cut,end)| per candidate; NaN unknown
-  std::vector<double> candidates;  ///< per-candidate objective totals
   std::vector<Bucket> todo;        ///< FIFO worklist (head index)
   std::vector<std::pair<size_t, size_t>> done;  ///< finalized buckets
   // Split-memo arena (append-only per partition call), addressed by
   // Bucket::memo_begin/memo_end.
   std::vector<size_t> memo_cuts;
   std::vector<double> memo_delta;
-  // Batched-scan gather columns (SplitScanMode::kBatched): candidate i's
-  // LEFT half at lane i, its RIGHT half at lane num_cuts + i. The stats
-  // columns form the StatsBatchView handed to DeltaFromStatsBatch (all
-  // doubles, holding static_cast<double> of the integer fields — the view's
-  // cast convention); lane_needed carries the per-lane pre-filter threshold
-  // and lane_delta receives the kernel output (normalized |Δ|, NaN =
-  // certified prunable). A known or bound-pruned half marks its lane
-  // inactive with n = 0 (the kernel's empty-stats convention), so the
-  // gather is pure indexed stores into high-water-sized columns — no
-  // push_back bookkeeping on the replicate hot path.
+  // Batched-scan gather columns: the fresh halves of one candidate block,
+  // packed from lane 0 (lane_map maps a lane back to its candidate). The
+  // stats columns form the StatsBatchView handed to DeltaFromStatsBatch
+  // (all doubles, holding static_cast<double> of the integer fields — the
+  // view's cast convention) and lane_delta receives the kernel output
+  // (normalized |Δ|). The columns only grow to their high-water size, so
+  // the gather is pure indexed stores on the replicate hot path.
   std::vector<double> lane_n;
   std::vector<double> lane_c;
   std::vector<double> lane_f1;
   std::vector<double> lane_mm1;
   std::vector<double> lane_value_sum;
   std::vector<double> lane_singleton_sum;
-  std::vector<double> lane_needed;
   std::vector<double> lane_delta;
-  std::vector<uint32_t> lane_map;  ///< serial path: compact lane → candidate
+  std::vector<uint32_t> lane_map;  ///< compact lane → candidate index
   /// Cross-call probe hint: the previous partition's winning root cut
   /// (0 = none). Bootstrap replicates are near-identical workloads, so the
   /// candidate nearest the last winner is an excellent probe — its total
@@ -274,76 +269,65 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 /// §3.3.2 Algorithm 1: recursively split a bucket at the unique value that
 /// minimizes the global Σ|Δ|; stop when no split lowers it.
 ///
-/// The candidate-split scan of each bucket (one |Δ(left)| + |Δ(right)|
-/// evaluation per distinct value) runs on a ThreadPool when the bucket has
-/// enough candidates to amortize the dispatch; each candidate writes only
-/// its own slot and the argmin keeps the serial first-minimum tie-break, so
-/// the partition is identical for every thread count. When the call would
-/// run inline anyway (1-thread pool, or nested inside a pool worker — the
-/// bootstrap replicate case) the scan skips the dispatch entirely and stays
-/// allocation-free.
+/// ONE SERIAL SCAN. Each bucket's candidate-split scan (one |Δ(left)| +
+/// |Δ(right)| evaluation per distinct value) runs on the calling thread;
+/// parallelism lives a level up, across bootstrap replicates and serving
+/// workers. The scan is allocation-free once its PartitionScratch is warm.
 ///
 /// MEMOIZED + PRUNED (see PartitionScratch). Child scans inherit their cut
 /// lists and one half of every candidate's |Δ| from the parent scan, so
 /// only the other half is computed; and because AbsDelta is nonnegative,
 /// `delta_rest + (known halves)` lower-bounds every candidate total — a
-/// candidate whose bound cannot go strictly below the running δmin can
-/// neither win the argmin nor move δmin, so its remaining half is skipped
-/// outright (a whole scan is skipped when even delta_rest ≥ δmin, e.g. a
-/// singleton-free bucket with Δ == 0). Pruning and memoization change which
-/// expressions are (re)computed, never their values: the partition — and
-/// every downstream interval — is bit-identical to the exhaustive scan at
-/// every thread count.
+/// candidate whose bound cannot go strictly below δmin can neither win the
+/// argmin nor move δmin, so its remaining half is skipped outright (a whole
+/// scan is skipped when even delta_rest ≥ δmin, e.g. a singleton-free
+/// bucket with Δ == 0). Pruning and memoization change which expressions
+/// are (re)computed, never their values: the partition — and every
+/// downstream interval — is bit-identical to the exhaustive scan.
 ///
-/// BATCHED (the default). A scan's surviving fresh halves are gathered into
-/// PartitionScratch's SoA columns and evaluated in ONE
-/// DeltaFromStatsBatch pass (fused coverage/γ² chain, no per-candidate
-/// virtual dispatch, auto-vectorizable), pruned against the scan-start δmin
-/// like the parallel fan-out always was; the kernel's multiplication-form
-/// pre-filter (chao92.h) may additionally skip the exact FP chain for lanes
-/// it can certify prunable. Wide scans split the lane range into blocks
-/// across the pool — every lane is an independent pure function of its
-/// stats, so results never depend on the block split or thread count.
-/// SplitScanMode::kScalar keeps the per-candidate evaluation (running-δmin
-/// pruning, the PR 4 code path) as a same-process reference: both modes
-/// produce bit-identical partitions on every input
-/// (tests/partition_memo_test.cc fuzzes batched vs scalar vs the unmemoized
-/// reference scan; bench_bootstrap's verify pass cross-checks end-to-end
-/// intervals before timing).
+/// BATCHED. A scan walks its candidates in blocks of 32: the block's fresh
+/// left halves are gathered into PartitionScratch's SoA columns and
+/// evaluated in ONE DeltaFromStatsBatch pass (fused coverage/γ² chain, no
+/// per-candidate virtual dispatch, auto-vectorizable), then the right
+/// halves of the candidates that can still win, then an in-order argmin
+/// that refreshes δmin for the next block. The root scan is probe-seeded
+/// (one candidate evaluated up front as a pruning reference) and can read
+/// its left halves from the mega-batch root_left_cache. Scans with fewer
+/// than 8 candidates skip the kernel and evaluate candidate by candidate.
+/// tests/support/reference_partitioner.h holds an independent exhaustive
+/// scan; partition_memo_test and bench_bootstrap's verify pass check this
+/// one against it bit for bit.
 enum class SplitScanMode {
-  kBatched,  ///< SoA gather + one DeltaFromStatsBatch kernel pass per scan
-  kScalar,   ///< per-candidate DeltaFromStats (the reference path)
+  kBatched,  ///< the only scan; kept for callers that still spell it
 };
 
 class DynamicPartitioner final : public BucketPartitioner {
  public:
-  DynamicPartitioner() = default;
-  /// nullptr means ThreadPool::Default(). A non-inert `cancel` token is
-  /// polled once per worklist bucket: when it fires, the buckets still
-  /// pending are finalized UNSPLIT and the scan returns immediately — the
-  /// bounds are a valid (coarser) partition, but not Algorithm 1's
-  /// converged one, so callers must discard the result via the token's
-  /// status. The inert default leaves partitions bit-identical.
+  /// A non-inert `cancel` token is polled once per worklist bucket: when it
+  /// fires, the buckets still pending are finalized UNSPLIT and the scan
+  /// returns immediately — the bounds are a valid (coarser) partition, but
+  /// not Algorithm 1's converged one, so callers must discard the result
+  /// via the token's status. The inert default leaves partitions
+  /// bit-identical.
+  explicit DynamicPartitioner(CancelToken cancel = {})
+      : cancel_(std::move(cancel)) {}
+  /// Kept only for perfbench/, which still passes a pool; the pool and
+  /// mode are ignored.
   explicit DynamicPartitioner(ThreadPool* pool,
                               SplitScanMode mode = SplitScanMode::kBatched,
                               CancelToken cancel = {})
-      : pool_(pool), mode_(mode), cancel_(std::move(cancel)) {}
-  explicit DynamicPartitioner(SplitScanMode mode) : mode_(mode) {}
+      : cancel_(std::move(cancel)) {
+    UUQ_UNUSED(pool);
+    UUQ_UNUSED(mode);
+  }
 
   std::string name() const override { return "dynamic"; }
   void PartitionInto(const SortedEntityIndex& index,
                      const StatsSumEstimator& inner, PartitionScratch* scratch,
                      std::vector<size_t>* bounds) const override;
-  /// The batched mode can consume a precomputed root-scan column; the
-  /// scalar reference mode ignores it (so batched-vs-scalar fuzzing keeps
-  /// covering the uncached gather).
-  bool SupportsRootScanCache() const override {
-    return mode_ == SplitScanMode::kBatched;
-  }
+  bool SupportsRootScanCache() const override { return true; }
 
  private:
-  ThreadPool* pool_ = nullptr;
-  SplitScanMode mode_ = SplitScanMode::kBatched;
   CancelToken cancel_;
 };
 
@@ -431,7 +415,7 @@ class BucketSumEstimator final : public SumEstimator {
   /// one-at-a-time path — the cache carries exactly the values the root
   /// scan's own gather+kernel pass would compute. Only pays off for the
   /// batched dynamic partitioner; other configurations fall back to the
-  /// scalar loop.
+  /// one-at-a-time loop.
   bool SupportsReplicateBatch() const override { return true; }
   void EstimateReplicateBatch(const ReplicateSample* const* reps, size_t count,
                               double* corrected_sums) const override;

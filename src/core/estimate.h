@@ -205,21 +205,12 @@ class StatsSumEstimator : public SumEstimator {
   ///
   /// CONTRACT: for every lane i, out[i] must be the NORMALIZED |Δ| of lane
   /// i's stats — exactly NormalizedAbsDelta(DeltaFromStats(stats_i)), with
-  /// 0.0 for empty stats (n == 0) — bit-identical to the scalar chain,
-  /// UNLESS `min_needed` is non-null and the implementation can
-  /// CONSERVATIVELY certify that the normalized |Δ| is ≥ min_needed[i]; it
-  /// may then write NaN instead (the "pruned, value unknown" marker, which
-  /// the scan treats exactly like its monotone pruning bound: the candidate
-  /// total reads +inf and the memo records the half as never-evaluated). A
-  /// certificate must never be wrong — writing NaN for a lane whose true
-  /// normalized |Δ| is below its threshold would change partitions. The
+  /// 0.0 for empty stats (n == 0) — bit-identical to the scalar chain. The
   /// same purity requirements as DeltaFromStats apply lane-wise.
   ///
-  /// The default loops over the scalar path with no pre-filter — the
-  /// semantics-defining fallback for estimators that never specialized.
-  /// `min_needed` entries may be anything (±inf, NaN ⇒ never certify).
+  /// The default loops over the scalar path — the semantics-defining
+  /// fallback for estimators that never specialized.
   virtual void DeltaFromStatsBatch(const StatsBatchView& batch,
-                                   const double* min_needed,
                                    double* out) const;
 
   Estimate EstimateImpact(const IntegratedSample& sample) const override {

@@ -78,8 +78,7 @@ std::unique_ptr<SumEstimator> MakeSumEstimator(
   };
   const auto bucket = [&options] {
     return std::make_unique<BucketSumEstimator>(
-        std::make_shared<DynamicPartitioner>(
-            options.pool, SplitScanMode::kBatched, options.cancel),
+        std::make_shared<DynamicPartitioner>(options.cancel),
         std::make_shared<NaiveEstimator>());
   };
   switch (options.estimator) {

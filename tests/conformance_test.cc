@@ -25,7 +25,6 @@
 #include "core/monte_carlo.h"
 #include "core/naive.h"
 #include "core/query_correction.h"
-#include "core/robust.h"
 #include "simulation/crowd.h"
 #include "simulation/population.h"
 #include "simulation/scenarios.h"
@@ -143,14 +142,14 @@ TEST(BootstrapConformance, MonteCarloColumnarMatchesMaterialized) {
                              "monte-carlo/synthetic", /*replicates=*/8);
 }
 
-TEST(BootstrapConformance, RobustColumnarMatchesMaterializedUnderStreaker) {
-  // The robust estimator re-advises per replicate; the columnar advice must
-  // flip exactly when the materialized advice does.
-  EstimatorAdvisor::Options options;
-  options.mc_options.runs_per_point = 2;
-  options.mc_options.n_grid_steps = 4;
-  ExpectOldNewBootstrapAgree(StreakerSample(), RobustSumEstimator(options),
-                             "robust/streaker", /*replicates=*/8);
+TEST(BootstrapConformance, MonteCarloColumnarMatchesMaterializedUnderStreaker) {
+  // The §6.5 advisor sends a streaker sample to Monte Carlo; its columnar
+  // replicates must match the materialized ones there too.
+  MonteCarloOptions options;
+  options.runs_per_point = 2;
+  options.n_grid_steps = 4;
+  ExpectOldNewBootstrapAgree(StreakerSample(), MonteCarloEstimator(options),
+                             "monte-carlo/streaker", /*replicates=*/8);
 }
 
 TEST(BootstrapConformance, FusionPoliciesColumnarMatchesMaterialized) {

@@ -1,18 +1,17 @@
-// Fuzz suite for the memoized + pruned dynamic split scan (PR 4).
+// Fuzz suite for the memoized + pruned dynamic split scan.
 //
-// The reference below is a straight port of the PR 3 scan: every bucket
-// re-walks its cut list and evaluates BOTH |Δ| halves of every candidate,
-// no memo arena, no pruning. The production DynamicPartitioner must produce
-// bit-identical bucket boundaries — and, through the bootstrap, bit-identical
-// interval endpoints — on every input we can throw at it: tie-heavy,
-// constant-value, single-entity, all-singleton (infinite deltas), negative
-// values, and random bootstrap replicates through the scratch path, at every
-// thread count.
+// The reference (tests/support/reference_partitioner.h) is a straight port
+// of the original exhaustive scan: every bucket re-walks its cut list and
+// evaluates BOTH |Δ| halves of every candidate, no memo arena, no pruning.
+// The production DynamicPartitioner must produce bit-identical bucket
+// boundaries — and, through the bootstrap, bit-identical interval
+// endpoints — on every input we can throw at it: tie-heavy, constant-value,
+// single-entity, all-singleton (infinite deltas), negative values, random
+// bootstrap replicates through the scratch path, and a benchmark-scale
+// heavy-tail crowd.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,111 +23,24 @@
 #include "core/naive.h"
 #include "integration/sample.h"
 #include "integration/sample_view.h"
+#include "simulation/crowd.h"
+#include "simulation/population.h"
+#include "support/reference_partitioner.h"
 
 namespace uuq {
 namespace {
 
-/// |Δ| exactly as the production scan's AbsDelta (bucket.cc).
-double RefAbsDelta(const StatsSumEstimator& inner, const SampleStats& stats) {
-  if (stats.empty()) return 0.0;
-  const double delta = inner.DeltaFromStats(stats);
-  if (!std::isfinite(delta)) return std::numeric_limits<double>::infinity();
-  return std::fabs(delta);
-}
-
-/// The PR 3 dynamic scan, verbatim: FIFO worklist, fresh per-bucket delta,
-/// full two-half evaluation of every candidate, first-minimum tie-break.
 std::vector<size_t> ReferenceDynamicPartition(const SortedEntityIndex& index,
                                               const StatsSumEstimator& inner) {
-  const size_t size = index.size();
-  std::vector<size_t> bounds;
-  if (size == 0) {
-    bounds = {0, 0};
-    return bounds;
-  }
-
-  std::vector<std::pair<size_t, size_t>> todo;
-  std::vector<std::pair<size_t, size_t>> done;
-  double delta_min = RefAbsDelta(inner, index.Slice(0, size));
-  todo.push_back({0, size});
-
-  for (size_t head = 0; head < todo.size(); ++head) {
-    const auto [b_begin, b_end] = todo[head];
-    const double b_delta = RefAbsDelta(inner, index.Slice(b_begin, b_end));
-    double delta_rest;
-    if (std::isinf(b_delta) || std::isinf(delta_min)) {
-      delta_rest = 0.0;
-      for (const auto& r : done) {
-        delta_rest += RefAbsDelta(inner, index.Slice(r.first, r.second));
-      }
-      for (size_t i = head + 1; i < todo.size(); ++i) {
-        delta_rest +=
-            RefAbsDelta(inner, index.Slice(todo[i].first, todo[i].second));
-      }
-      delta_min = delta_rest + b_delta;
-    } else {
-      delta_rest = delta_min - b_delta;
-    }
-
-    std::vector<size_t> cuts;
-    {
-      size_t cut = b_begin < size ? index.UpperBoundOfValueAt(b_begin) : b_end;
-      while (cut < b_end) {
-        cuts.push_back(cut);
-        cut = index.UpperBoundOfValueAt(cut);
-      }
-    }
-    bool found = false;
-    size_t best_cut = 0;
-    for (size_t cut : cuts) {
-      const double candidate = delta_rest +
-                               RefAbsDelta(inner, index.Slice(b_begin, cut)) +
-                               RefAbsDelta(inner, index.Slice(cut, b_end));
-      if (candidate < delta_min) {
-        delta_min = candidate;
-        best_cut = cut;
-        found = true;
-      }
-    }
-    if (found) {
-      todo.push_back({b_begin, best_cut});
-      todo.push_back({best_cut, b_end});
-    } else {
-      done.push_back({b_begin, b_end});
-    }
-  }
-
-  std::sort(done.begin(), done.end());
-  bounds.push_back(0);
-  for (const auto& r : done) bounds.push_back(r.second);
-  return bounds;
+  return ReferenceDynamicPartitioner().Partition(index, inner);
 }
 
 void ExpectSamePartition(const SortedEntityIndex& index,
                          const StatsSumEstimator& inner,
                          const std::string& what) {
-  const std::vector<size_t> expected = ReferenceDynamicPartition(index, inner);
-  // Batched SoA scan (the default mode since PR 5).
-  const DynamicPartitioner batched;
-  const std::vector<size_t> serial_batched = batched.Partition(index, inner);
-  ASSERT_EQ(serial_batched, expected) << what << " [batched]";
-
-  // Scalar per-candidate scan (the PR 4 path, kept as the same-process
-  // reference mode): must agree with both.
-  const DynamicPartitioner scalar(SplitScanMode::kScalar);
-  ASSERT_EQ(scalar.Partition(index, inner), expected) << what << " [scalar]";
-
-  // And again through a parallel pool for both modes (the fan-out paths
-  // prune against the scan-start δmin instead of the running one, and the
-  // batched fan-out additionally runs the kernel's pre-filter — the
-  // boundaries must not care).
-  ThreadPool pool(4);
-  const DynamicPartitioner parallel_batched(&pool);
-  EXPECT_EQ(parallel_batched.Partition(index, inner), expected)
-      << what << " [batched pool]";
-  const DynamicPartitioner parallel_scalar(&pool, SplitScanMode::kScalar);
-  EXPECT_EQ(parallel_scalar.Partition(index, inner), expected)
-      << what << " [scalar pool]";
+  ASSERT_EQ(DynamicPartitioner().Partition(index, inner),
+            ReferenceDynamicPartition(index, inner))
+      << what;
 }
 
 SortedEntityIndex IndexOf(const std::vector<EntityPoint>& points) {
@@ -283,6 +195,53 @@ TEST(PartitionMemoFuzz, IntervalEndpointsBitIdenticalAcrossPathsAndThreads) {
   for (size_t i = 0; i < col1.replicates.size(); ++i) {
     EXPECT_EQ(col1.replicates[i], mat8.replicates[i]) << i;
   }
+}
+
+TEST(PartitionMemoFuzz, HeavyTailCrowdAtBenchmarkScaleMatchesReference) {
+  // The serve-distinct sample shape: a 20k-item heavy-tail population seen
+  // by 200 crowd sources x 100 answers (~8.7k distinct entities, so the
+  // root scan runs thousands of candidates through the batched kernel and
+  // the mega-batch root cache). The partition and a B=48 interval must
+  // match the reference partitioner bit for bit.
+  HeavyTailPopulationConfig population_config;
+  population_config.num_items = 20000;
+  population_config.seed = 0x5E12;
+  const Population population = MakeHeavyTailPopulation(population_config);
+  CrowdConfig crowd;
+  crowd.num_workers = 200;
+  crowd.answers_per_worker = 100;
+  crowd.seed = 0x5E13;
+  IntegratedSample sample;
+  for (const Observation& obs :
+       CrowdSimulator(&population, crowd).GenerateStream()) {
+    sample.Add(obs);
+  }
+  ASSERT_GT(sample.c(), 5000);
+
+  const NaiveEstimator naive;
+  const SortedEntityIndex index(sample.entities());
+  const std::vector<size_t> bounds =
+      DynamicPartitioner().Partition(index, naive);
+  EXPECT_GT(bounds.size(), 2u) << "the scan should split this sample";
+  EXPECT_EQ(bounds, ReferenceDynamicPartition(index, naive));
+
+  const BucketSumEstimator production;
+  const BucketSumEstimator reference(
+      std::make_shared<ReferenceDynamicPartitioner>(),
+      std::make_shared<NaiveEstimator>());
+  ThreadPool serial(1);
+  BootstrapOptions options;
+  options.replicates = 48;
+  options.pool = &serial;
+  const BootstrapInterval got =
+      BootstrapCorrectedSum(sample, production, options);
+  const BootstrapInterval want =
+      BootstrapCorrectedSum(sample, reference, options);
+  EXPECT_EQ(got.point, want.point);
+  EXPECT_EQ(got.lo, want.lo);
+  EXPECT_EQ(got.hi, want.hi);
+  EXPECT_EQ(got.median, want.median);
+  EXPECT_EQ(got.replicates, want.replicates);
 }
 
 }  // namespace

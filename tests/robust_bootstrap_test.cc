@@ -9,7 +9,6 @@
 #include "core/bootstrap.h"
 #include "core/bucket.h"
 #include "core/naive.h"
-#include "core/robust.h"
 #include "simulation/crowd.h"
 #include "simulation/population.h"
 
@@ -33,53 +32,6 @@ IntegratedSample HealthySample(uint64_t seed = 3) {
     sample.Add(obs);
   }
   return sample;
-}
-
-IntegratedSample StreakerSample() {
-  // The streaker must dominate: >50% of all observations (§6.3 heuristics).
-  IntegratedSample sample = HealthySample(5);
-  for (int i = 0; i < 500; ++i) {
-    sample.Add("streaker", "extra-" + std::to_string(i % 150), 50.0 + i % 150);
-  }
-  return sample;
-}
-
-TEST(RobustSumEstimator, DelegatesToBucketWhenHealthy) {
-  const RobustSumEstimator robust;
-  const auto sample = HealthySample();
-  const Estimate est = robust.EstimateImpact(sample);
-  EXPECT_EQ(est.estimator, "robust[bucket[dynamic]]");
-  EXPECT_EQ(robust.LastAdviceFor(sample).choice, EstimatorChoice::kBucket);
-}
-
-TEST(RobustSumEstimator, DelegatesToMonteCarloUnderStreaker) {
-  EstimatorAdvisor::Options options;
-  options.mc_options.runs_per_point = 2;
-  options.mc_options.n_grid_steps = 5;
-  const RobustSumEstimator robust(options);
-  const auto sample = StreakerSample();
-  const Estimate est = robust.EstimateImpact(sample);
-  EXPECT_EQ(est.estimator, "robust[monte-carlo]");
-}
-
-TEST(RobustSumEstimator, FlagsLowCoverage) {
-  IntegratedSample sparse;
-  for (int w = 0; w < 8; ++w) {
-    for (int e = 0; e < 4; ++e) {
-      sparse.Add("w" + std::to_string(w), "e" + std::to_string(w * 10 + e),
-                 1.0);
-    }
-  }
-  const RobustSumEstimator robust;
-  const Estimate est = robust.EstimateImpact(sparse);
-  EXPECT_FALSE(est.coverage_ok);
-}
-
-TEST(RobustSumEstimator, MatchesDelegateNumerically) {
-  const auto sample = HealthySample();
-  const Estimate robust = RobustSumEstimator().EstimateImpact(sample);
-  const Estimate bucket = BucketSumEstimator().EstimateImpact(sample);
-  EXPECT_DOUBLE_EQ(robust.delta, bucket.delta);
 }
 
 TEST(ResampleSources, PreservesSourceCountAndPolicy) {

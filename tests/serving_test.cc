@@ -110,8 +110,7 @@ TEST(EngineCancellation, DynamicPartitionerFinalizesUnsplit) {
   const auto sample = HealthySample();
   const SortedEntityIndex index(sample->entities());
   const NaiveEstimator naive;
-  const DynamicPartitioner cancelled(/*pool=*/nullptr,
-                                     SplitScanMode::kBatched, FiredToken());
+  const DynamicPartitioner cancelled(FiredToken());
   const std::vector<size_t> bounds = cancelled.Partition(index, naive);
   // Fired before the first pop: the root bucket is finalized whole — a
   // valid single-bucket partition.
@@ -283,6 +282,9 @@ TEST(QueryService, DeadlineExpiringMidIntervalDegradesToPointOnly) {
   ServingOptions options = FastOptions();
   options.faults = &faults;
   options.full_interval_budget = std::chrono::microseconds(1);
+  // One engine thread per worker: the replicates run serially, so the
+  // interval takes the full 24 x 5ms at any core count.
+  options.engine_threads = options.workers;
   QueryService service(options);
   service.RegisterSample("healthy", HealthySample());
   const ServedResult result =
