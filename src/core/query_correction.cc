@@ -249,11 +249,11 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
           });
     }
     case AggregateKind::kAvg: {
-      // Pool threading only (the inert default cancel token preserves the
-      // point-estimate semantics AVG always had); slice scheduling never
-      // changes partition results.
+      // An inert cancel token: AVG (and MIN/MAX below) keep the converged
+      // partition their point estimates always had, whatever the query's
+      // deadline.
       const AvgEstimator avg(std::make_shared<BucketSumEstimator>(
-          std::make_shared<DynamicPartitioner>(options_.pool),
+          std::make_shared<DynamicPartitioner>(),
           std::make_shared<NaiveEstimator>()));
       answer.estimate = avg.EstimateAvg(sample);
       answer.observed = stats.ValueMean();
@@ -271,7 +271,7 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
     case AggregateKind::kMax: {
       const MinMaxEstimator minmax(
           std::make_shared<BucketSumEstimator>(
-              std::make_shared<DynamicPartitioner>(options_.pool),
+              std::make_shared<DynamicPartitioner>(),
               std::make_shared<NaiveEstimator>()),
           options_.minmax_claim_threshold);
       const bool want_max = aggregate == AggregateKind::kMax;

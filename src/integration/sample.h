@@ -124,8 +124,13 @@ class IntegratedSample {
                 const std::string& value_column) const;
 
   /// Rebuilds a sub-sample containing only the entities for which `keep`
-  /// returns true (judged on their FINAL fused state), replaying the raw
-  /// observation log so multiplicities, source sizes and fusion stay exact.
+  /// returns true. `keep` judges an entity's FINAL fused state, so it is
+  /// called exactly once per entity, in entities() order. The kept part of
+  /// the raw observation log is then replayed in index form (no key
+  /// normalization or string lookups) through the same per-observation
+  /// update as Add, so multiplicities, source sizes, fusion and both sums
+  /// are bit-identical to Add-ing the kept observations in arrival order
+  /// (tests/support/reference_filter.h is that replay, as the oracle).
   /// This implements predicate push-down for corrected queries: species
   /// estimation then runs over the predicate-satisfying class only (§2.1
   /// drops the predicate because every item of D satisfies it).
@@ -157,6 +162,13 @@ class IntegratedSample {
 
  private:
   double Fuse(const std::vector<double>& reports) const;
+
+  /// The per-observation update shared by Add and Filter: appends the log
+  /// entry and the report, re-fuses the entity's value and moves n, φK and
+  /// φf1. A first sighting is an entities_ entry the caller has just
+  /// appended with multiplicity 0. Leaves index_, source_index_,
+  /// source_sizes_ and multiplicity_histogram_ to the caller.
+  void Record(int32_t source_index, int32_t entity_index, double value);
 
   FusionPolicy policy_;
   int64_t n_ = 0;

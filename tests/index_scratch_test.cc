@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/bootstrap.h"
 #include "core/bucket.h"
 #include "core/naive.h"
@@ -223,12 +222,10 @@ TEST(IndexScratchAllocation, WarmReplicatePathIsAllocationFree) {
   const IntegratedSample sample =
       RandomSample(&rng, FusionPolicy::kAverage, 16, 150, 500);
   const SampleView view(sample);
-  // Serial pool so the split scan provably takes the inline raw loop (in
-  // the real bootstrap, replicates run ON pool workers, where nested scans
-  // inline the same way).
-  ThreadPool serial(1);
+  // The split scan is serial and allocates only from the scratch, so the
+  // whole replicate path can be checked in one thread.
   const BucketSumEstimator bucket(
-      std::make_shared<DynamicPartitioner>(&serial),
+      std::make_shared<DynamicPartitioner>(),
       std::make_shared<NaiveEstimator>());
 
   std::vector<std::vector<int32_t>> draw_sets(8);
