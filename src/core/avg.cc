@@ -7,7 +7,6 @@ namespace uuq {
 Estimate AvgEstimator::FromBuckets(
     const SampleStats& stats, const std::vector<ValueBucket>& buckets) const {
   Estimate est;
-  est.estimator = "avg[" + bucket_->name() + "]";
   est.coverage_ok = stats.Coverage() >= 0.4;
   if (stats.empty()) {
     est.coverage_ok = false;
@@ -46,8 +45,10 @@ Estimate AvgEstimator::FromBuckets(
 }
 
 Estimate AvgEstimator::EstimateAvg(const IntegratedSample& sample) const {
-  return FromBuckets(SampleStats::FromSample(sample),
-                     bucket_->ComputeBuckets(sample));
+  Estimate est = FromBuckets(SampleStats::FromSample(sample),
+                             bucket_->ComputeBuckets(sample));
+  est.estimator = "avg[" + bucket_->name() + "]";
+  return est;
 }
 
 Estimate AvgEstimator::EstimateAvg(const ReplicateSample& rep) const {

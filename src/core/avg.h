@@ -32,7 +32,10 @@ class AvgEstimator {
 
   /// Columnar replicate form (bootstrap intervals on corrected AVG): the
   /// bucket breakdown and the mean need only the replicate's value and
-  /// multiplicity columns.
+  /// multiplicity columns. Runs through the bucket estimator's thread-local
+  /// IndexScratch, so it performs zero heap allocations once warm; for the
+  /// same reason it leaves `estimator` empty (the label would be the one
+  /// allocation, and a bootstrap reads only corrected_sum).
   Estimate EstimateAvg(const ReplicateSample& rep) const;
 
  private:

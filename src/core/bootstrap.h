@@ -16,11 +16,13 @@
 // policy folds columnar (kMajority through the per-slot report histogram);
 // the bucket estimator additionally reuses a per-thread IndexScratch
 // (bucket.h), so a B-replicate run performs zero per-replicate heap
-// allocations once warm. Only estimators without a columnar path fall back
-// to materializing each replicate (the pre-columnar behaviour,
-// byte-for-byte) — and that reference path rebuilds into per-thread
-// SampleArena-pooled shells (sample.h) rather than growing a fresh
-// IntegratedSample per replicate.
+// allocations once warm. A MIN/MAX replicate is a fold, not a partition:
+// its statistic is the observed extreme, which
+// MinMaxEstimator::ObservedExtreme takes in one pass over the columns.
+// Only estimators without a columnar path fall back to materializing each
+// replicate (the pre-columnar behaviour, byte-for-byte) — and that
+// reference path rebuilds into per-thread SampleArena-pooled shells
+// (sample.h) rather than growing a fresh IntegratedSample per replicate.
 //
 // DEGENERATE INPUTS. An all-non-finite replicate set (an estimator whose
 // species formula diverges on every resample) degrades the percentile

@@ -734,13 +734,24 @@ std::vector<ValueBucket> BucketSumEstimator::ComputeBuckets(
   return ComputeBuckets(SortedEntityIndex(sample.entities()));
 }
 
-std::vector<ValueBucket> BucketSumEstimator::ComputeBuckets(
-    const ReplicateSample& rep) const {
-  // thread_local: default warm scratch for callers that bring none — one
-  // per worker thread keeps the replicate path allocation-free without
-  // sharing mutable index state across threads.
+namespace {
+
+/// The default warm scratch for replicate callers that bring none.
+IndexScratch& ThreadScratch() {
+  // thread_local: one per worker thread keeps the replicate path
+  // allocation-free without sharing mutable index state across threads.
   static thread_local IndexScratch scratch;
-  return ComputeBuckets(scratch.RebuildIndex(rep));
+  return scratch;
+}
+
+}  // namespace
+
+const std::vector<ValueBucket>& BucketSumEstimator::ComputeBuckets(
+    const ReplicateSample& rep) const {
+  IndexScratch& scratch = ThreadScratch();
+  ComputeBucketsInto(scratch.RebuildIndex(rep), &scratch.partition_,
+                     &scratch.bounds_, &scratch.buckets_);
+  return scratch.buckets_;
 }
 
 namespace {
@@ -798,10 +809,7 @@ Estimate BucketSumEstimator::EstimateImpact(const IntegratedSample& sample,
 
 Estimate BucketSumEstimator::EstimateReplicate(
     const ReplicateSample& rep) const {
-  // thread_local: default warm scratch (same ownership argument as
-  // ComputeBuckets above).
-  static thread_local IndexScratch scratch;
-  return EstimateReplicate(rep, &scratch);
+  return EstimateReplicate(rep, &ThreadScratch());
 }
 
 Estimate BucketSumEstimator::EstimateReplicate(const ReplicateSample& rep,

@@ -423,9 +423,12 @@ class BucketSumEstimator final : public SumEstimator {
   /// The full per-bucket breakdown (used by AVG and MIN/MAX, §5, and by the
   /// static-bucket ablation benches).
   std::vector<ValueBucket> ComputeBuckets(const IntegratedSample& sample) const;
-  /// Same, over a columnar replicate (AVG/MIN-MAX bootstrap); reuses the
-  /// thread-local scratch for the index rebuild.
-  std::vector<ValueBucket> ComputeBuckets(const ReplicateSample& rep) const;
+  /// Same, over a columnar replicate (the AVG bootstrap), through the
+  /// thread-local IndexScratch that EstimateReplicate(rep) uses: zero heap
+  /// allocations once warm. The result lives in that scratch and is valid
+  /// until this thread's next replicate call.
+  const std::vector<ValueBucket>& ComputeBuckets(
+      const ReplicateSample& rep) const;
   /// Shared core: buckets of an already-built index.
   std::vector<ValueBucket> ComputeBuckets(const SortedEntityIndex& index) const;
 

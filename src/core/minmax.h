@@ -5,6 +5,13 @@
 // the unknown-unknowns count per bucket, and claim the observed MAX (MIN)
 // as the true extreme only when the highest (lowest) bucket's estimated
 // unknown count is (near) zero.
+//
+// BOOTSTRAP. The interval QueryCorrector attaches to a MIN/MAX answer is
+// over each replicate's OBSERVED extreme, which needs no partition:
+// ObservedExtreme folds it in one pass. The partition runs once, for the
+// point estimate's claim. The ReplicateSample forms of EstimateMax/
+// EstimateMin serve only the fold's fallback and the benchmark's
+// staged trace (perfbench/trace.cc).
 #ifndef UUQ_CORE_MINMAX_H_
 #define UUQ_CORE_MINMAX_H_
 
@@ -42,10 +49,21 @@ class MinMaxEstimator {
   ExtremeEstimate EstimateMax(const IntegratedSample& sample) const;
   ExtremeEstimate EstimateMin(const IntegratedSample& sample) const;
 
-  /// Columnar replicate forms (bootstrap distribution of the observed
-  /// extreme and of the extreme-bucket unknown count).
+  /// Columnar replicate forms (the full partition of a replicate).
   ExtremeEstimate EstimateMax(const ReplicateSample& rep) const;
   ExtremeEstimate EstimateMin(const ReplicateSample& rep) const;
+
+  /// The sample's observed MAX (`want_max`) or MIN in one pass over its
+  /// points: no index rebuild, no split scan. Bit-identical to
+  /// EstimateMax/EstimateMin(...).observed_extreme, whose value is the end
+  /// point of the canonical (value, multiplicity) index — the fold takes
+  /// the same extreme under SortedEntityIndex::PointLess, and an empty
+  /// sample gives 0.0. Where the fold cannot prove it picks the index's
+  /// point — a NaN value, an extreme equal to zero (-0.0 and +0.0 tie), or
+  /// a multiplicity <= 0 (the view-gathered index drops such points) — it
+  /// returns the partition's value instead.
+  double ObservedExtreme(const ReplicateSample& rep, bool want_max) const;
+  double ObservedExtreme(const IntegratedSample& sample, bool want_max) const;
 
  private:
   ExtremeEstimate Estimate(const IntegratedSample& sample, bool want_max) const;

@@ -282,16 +282,14 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       answer.claim_true_extreme = answer.extreme.claim_true_extreme;
       answer.estimate.estimator = "minmax[bucket]";
       answer.estimate.missing_count = answer.extreme.extreme_bucket_missing;
+      // A replicate's statistic is its observed extreme, a one-pass fold;
+      // the partition above is needed only for the point estimate's claim.
       return finish(
           [&minmax, want_max](const ReplicateSample& rep) {
-            return (want_max ? minmax.EstimateMax(rep)
-                             : minmax.EstimateMin(rep))
-                .observed_extreme;
+            return minmax.ObservedExtreme(rep, want_max);
           },
           [&minmax, want_max](const IntegratedSample& resampled) {
-            return (want_max ? minmax.EstimateMax(resampled)
-                             : minmax.EstimateMin(resampled))
-                .observed_extreme;
+            return minmax.ObservedExtreme(resampled, want_max);
           });
     }
   }

@@ -7,8 +7,9 @@
 //    histogram state may leak between rebuilds;
 //  * the canonical (value, multiplicity) point order makes the scratch
 //    path's index bit-identical to a freshly constructed one;
-//  * once warm, a bucket replicate evaluation performs ZERO heap
-//    allocations (counted via an operator new/delete hook).
+//  * once warm, a bucket replicate evaluation — SUM, AVG, and the MIN/MAX
+//    extreme fold — performs ZERO heap allocations (counted via an
+//    operator new/delete hook).
 //
 // The ASan CI matrix entry (-fsanitize=address,undefined) runs this suite —
 // and everything else — over the new scratch paths.
@@ -23,8 +24,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/avg.h"
 #include "core/bootstrap.h"
 #include "core/bucket.h"
+#include "core/minmax.h"
 #include "core/naive.h"
 #include "integration/sample.h"
 #include "integration/sample_view.h"
@@ -227,6 +230,12 @@ TEST(IndexScratchAllocation, WarmReplicatePathIsAllocationFree) {
   const BucketSumEstimator bucket(
       std::make_shared<DynamicPartitioner>(),
       std::make_shared<NaiveEstimator>());
+  // AVG and MIN/MAX replicates run through the bucket estimator's
+  // thread-local scratch (this thread's), not `iscratch`.
+  const AvgEstimator avg(std::make_shared<BucketSumEstimator>(
+      std::make_shared<DynamicPartitioner>(),
+      std::make_shared<NaiveEstimator>()));
+  const MinMaxEstimator minmax;
 
   std::vector<std::vector<int32_t>> draw_sets(8);
   for (auto& draws : draw_sets) view.DrawBootstrapSources(&rng, &draws);
@@ -240,11 +249,15 @@ TEST(IndexScratchAllocation, WarmReplicatePathIsAllocationFree) {
   for (const auto& draws : draw_sets) {
     view.BuildReplicate(draws, &rscratch, &rep);
     sink += bucket.EstimateReplicate(rep, &iscratch).corrected_sum;
+    sink += avg.EstimateAvg(rep).corrected_sum;
+    sink += minmax.ObservedExtreme(rep, /*want_max=*/true);
   }
   // Jackknife warm-up too (arrival-order replay path).
   for (int32_t e = 0; e < static_cast<int32_t>(view.num_sources()); ++e) {
     view.BuildLeaveOneOut(e, &rscratch, &rep);
     sink += bucket.EstimateReplicate(rep, &iscratch).corrected_sum;
+    sink += avg.EstimateAvg(rep).corrected_sum;
+    sink += minmax.ObservedExtreme(rep, /*want_max=*/true);
   }
 
   // Measured pass: identical work, warm buffers — zero heap allocations.
@@ -252,14 +265,18 @@ TEST(IndexScratchAllocation, WarmReplicatePathIsAllocationFree) {
   for (const auto& draws : draw_sets) {
     view.BuildReplicate(draws, &rscratch, &rep);
     sink += bucket.EstimateReplicate(rep, &iscratch).corrected_sum;
+    sink += avg.EstimateAvg(rep).corrected_sum;
+    sink += minmax.ObservedExtreme(rep, /*want_max=*/true);
   }
   for (int32_t e = 0; e < static_cast<int32_t>(view.num_sources()); ++e) {
     view.BuildLeaveOneOut(e, &rscratch, &rep);
     sink += bucket.EstimateReplicate(rep, &iscratch).corrected_sum;
+    sink += avg.EstimateAvg(rep).corrected_sum;
+    sink += minmax.ObservedExtreme(rep, /*want_max=*/true);
   }
   const int64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
-      << "warm bucket replicate path performed heap allocations";
+      << "warm bucket/AVG/MIN-MAX replicate path performed heap allocations";
   EXPECT_TRUE(std::isfinite(sink));
 }
 
