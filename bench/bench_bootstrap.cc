@@ -11,8 +11,8 @@
 //     contract),
 //   * the columnar path clears the >=3x replicate-throughput target over
 //     the materializing path (acceptance criterion, recorded on the bench
-//     box; warn-only unless UUQ_BENCH_ENFORCE is set, because a loaded or
-//     slow box can legitimately land near the line).
+//     box; a printed warning only, because a loaded or slow box can
+//     legitimately land near the line).
 //
 // Regression gate — the check CI actually enforces:
 // UUQ_BENCH_BASELINE=<path to bench/bootstrap_baseline.json> compares the
@@ -34,9 +34,8 @@
 // (tests/support/reference_partitioner.h) and of the default replicate
 // blocking against block=1, all bit-for-bit; it also pins the adaptive replicate budget
 // against fixed budgets at both ends of its range (pilot early-stop ==
-// fixed-pilot, cap escalation == fixed-cap). UUQ_BENCH_VERIFY=0 skips it
-// (debugging only — CI always runs it), so the ratio gate below can never
-// pass on a wrong-answer speedup.
+// fixed-pilot, cap escalation == fixed-cap). It always runs, so the ratio
+// gate below can never pass on a wrong-answer speedup.
 //
 // Rows are APPENDED to bench_out.json so one CI artifact carries both this
 // harness and bench_parallel_speedup.
@@ -46,7 +45,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -191,15 +189,13 @@ int main() {
   using bench::BenchRow;
 
   const int reps = bench::RepsFromEnv(3);
-  const bool enforce = std::getenv("UUQ_BENCH_ENFORCE") != nullptr;
 
   bench::PrintHeader(
       "Columnar bootstrap engine (SampleView replicates vs materializing "
       "reference)",
       ">=3x replicate throughput over the materializing path; bit-identical "
       "intervals across evaluation modes and thread counts");
-  std::printf("reps=%d (best-of)%s\n\n", reps,
-              enforce ? "  [UUQ_BENCH_ENFORCE]" : "");
+  std::printf("reps=%d (best-of)\n\n", reps);
 
   const Scenario scenario = scenarios::UsTechEmployment();
   IntegratedSample sample;
@@ -216,13 +212,8 @@ int main() {
 
     // Correctness before speed: the timing loop re-seeds identically each
     // rep, so it cannot catch a wrong-answer speedup by itself.
-    const char* verify_env = std::getenv("UUQ_BENCH_VERIFY");
-    if (verify_env == nullptr || std::strcmp(verify_env, "0") != 0) {
-      VerifyAgainstReference(sample, bucket, &serial);
-      VerifyAdaptiveAgainstFixed(sample, bucket, &serial);
-    } else {
-      std::printf("verify pass SKIPPED (UUQ_BENCH_VERIFY=0)\n");
-    }
+    VerifyAgainstReference(sample, bucket, &serial);
+    VerifyAdaptiveAgainstFixed(sample, bucket, &serial);
 
     BootstrapOptions options;
     options.replicates = 48;
@@ -368,12 +359,9 @@ int main() {
                 reps_per_sec);
 
     if (ratio_usable && speedup < 3.0) {
-      const std::string msg =
-          "columnar speedup " + std::to_string(speedup) +
-          "x is below the 3x acceptance target";
-      if (enforce) throw Fatal{msg};
-      std::printf("WARNING: %s (not enforced without UUQ_BENCH_ENFORCE)\n",
-                  msg.c_str());
+      std::printf("WARNING: columnar speedup %.2fx is below the 3x "
+                  "acceptance target\n",
+                  speedup);
     }
 
     // ---- regression gate vs committed baseline ----------------------------

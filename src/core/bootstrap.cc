@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 #include <optional>
 
 #include "common/macros.h"
@@ -27,10 +26,8 @@ namespace {
 
 /// Decides whether the columnar path may serve this run; aborts when the
 /// caller forced an unavailable path.
-bool ResolveColumnar(ReplicateEvaluation evaluation, bool estimator_supports,
-                     FusionPolicy policy, bool has_materialized) {
-  const bool available =
-      estimator_supports && SampleView::PolicySupportsColumnar(policy);
+bool ResolveColumnar(ReplicateEvaluation evaluation, bool available,
+                     bool has_materialized) {
   if (evaluation == ReplicateEvaluation::kColumnar) {
     UUQ_CHECK_MSG(available,
                   "columnar evaluation forced but the estimator has no "
@@ -74,19 +71,6 @@ BootstrapInterval PercentileInterval(double point,
   return interval;
 }
 
-/// Replicates built per mega-batch evaluator call. Bounds the per-thread
-/// slot pool (each slot holds one built replicate's columns) while still
-/// amortizing the batch kernel's per-call setup across many replicates.
-constexpr int64_t kMaxBatchReplicates = 16;
-
-/// One built replicate awaiting batch evaluation. Slots live in a
-/// per-thread deque (BatchSlot is neither copyable nor cheap to move —
-/// deque::emplace_back constructs in place and never relocates).
-struct BatchSlot {
-  ReplicateScratch scratch;
-  ReplicateSample rep;
-};
-
 }  // namespace
 
 BootstrapInterval BootstrapAggregate(
@@ -108,7 +92,7 @@ BootstrapInterval BootstrapAggregate(
                 "confidence must be in (0,1)");
   const bool use_columnar =
       ResolveColumnar(options.evaluation, columnar != nullptr,
-                      sample.policy(), materialized != nullptr);
+                      materialized != nullptr);
 
   // Flattened once per sample: a caller-supplied view (the serving cache's
   // per-registered-sample artifact) is reused as-is; otherwise flatten here
@@ -141,7 +125,6 @@ BootstrapInterval BootstrapAggregate(
   // interleaving), and the final read below happens after ParallelFor's
   // join, which already orders every task's stores before it.
   std::atomic<bool> aborted{false};
-  const bool use_batch = use_columnar && options.columnar_batch != nullptr;
 
   // Evaluates replicates [r_begin, r_end) into values[r_begin..r_end).
   // Tasks claim BLOCKS of consecutive replicates (options.replicate_block)
@@ -162,47 +145,6 @@ BootstrapInterval BootstrapAggregate(
     pool->ParallelFor(0, num_blocks, [&](int64_t blk) {
       const int64_t begin = r_begin + blk * block;
       const int64_t end = std::min(r_end, begin + block);
-      if (use_batch && end - begin > 1) {
-        // Cross-replicate mega-batching: build a chunk of replicates into
-        // per-thread slots, then hand the whole chunk to the caller's
-        // batch evaluator (one DeltaFromStatsBatch sweep instead of one
-        // kernel launch per replicate). Draw order, stream assignment, and
-        // per-replicate arithmetic are untouched, so values are
-        // bit-identical to the one-at-a-time path below.
-        // thread_local: worker-local slot pool — per-thread ownership
-        // keeps the warm path allocation-free without locking; deque
-        // because BatchSlot must never relocate once built.
-        thread_local std::deque<BatchSlot> slots;
-        for (int64_t chunk = begin; chunk < end;
-             chunk += kMaxBatchReplicates) {
-          const int64_t chunk_end =
-              std::min(end, chunk + kMaxBatchReplicates);
-          while (slots.size() < static_cast<size_t>(chunk_end - chunk)) {
-            slots.emplace_back();
-          }
-          const ReplicateSample* ptrs[kMaxBatchReplicates];
-          size_t built = 0;
-          for (int64_t b = chunk; b < chunk_end; ++b) {
-            if (aborted.load(std::memory_order_relaxed) ||
-                options.cancel.Fired()) {
-              aborted.store(true, std::memory_order_relaxed);
-              return;  // partial chunk discarded — aborted runs never
-                       // read these slots
-            }
-            if (options.replicate_probe) options.replicate_probe(b);
-            Rng rng = streams[static_cast<size_t>(b)];
-            BatchSlot& slot = slots[built];
-            view.DrawBootstrapSources(&rng, &slot.scratch.draws());
-            view.BuildReplicate(slot.scratch.draws(), &slot.scratch,
-                                &slot.rep);
-            ptrs[built] = &slot.rep;
-            ++built;
-          }
-          options.columnar_batch(ptrs, built,
-                                 &values[static_cast<size_t>(chunk)]);
-        }
-        return;
-      }
       for (int64_t b = begin; b < end; ++b) {
         // Replicate-granularity cancellation: a fired token stops this
         // task before the next replicate; replicates already in flight on
@@ -228,19 +170,12 @@ BootstrapInterval BootstrapAggregate(
           values[static_cast<size_t>(b)] = columnar(rep);
           continue;
         }
-        // Materializing reference path: rebuild into a pooled sample
-        // (identical to a fresh one through every accessor) instead of
-        // growing a new IntegratedSample per replicate. The arena hands
-        // nested evaluations their own sample, so a `materialized`
-        // callback that itself bootstraps stays correct.
-        // thread_local: per-worker arena/draw pools — LIFO lease reuse is
-        // only race-free because no other thread ever touches them.
-        thread_local SampleArena arena;
-        thread_local std::vector<int32_t> draws;
+        // Materializing reference path: a fresh IntegratedSample per
+        // replicate.
+        std::vector<int32_t> draws;
         view.DrawBootstrapSources(&rng, &draws);
-        const SampleArena::Lease lease = arena.Acquire(view.policy());
-        view.MaterializeReplicateInto(draws, lease.get());
-        values[static_cast<size_t>(b)] = materialized(*lease);
+        values[static_cast<size_t>(b)] =
+            materialized(view.MaterializeReplicate(draws));
       }
     });
   };
@@ -355,31 +290,17 @@ BootstrapInterval BootstrapCorrectedSum(const IntegratedSample& sample,
                                         const SamplePrecomp* pre) {
   const double point = estimator.EstimateImpact(sample, pre).corrected_sum;
   std::function<double(const ReplicateSample&)> columnar;
-  BootstrapOptions run_options = options;
   if (estimator.SupportsReplicates()) {
     columnar = [&estimator](const ReplicateSample& rep) {
       return estimator.EstimateReplicate(rep).corrected_sum;
     };
-    // Mega-batch hook: estimators that share work across replicates (the
-    // bucket estimator gathers every replicate's root split scan into one
-    // DeltaFromStatsBatch call) plug in here; the batch contract
-    // (estimate.h) pins them bit-identical to the scalar path, so the
-    // engine may mix both freely. A caller-supplied hook wins.
-    if (estimator.SupportsReplicateBatch() &&
-        run_options.columnar_batch == nullptr) {
-      run_options.columnar_batch = [&estimator](
-                                       const ReplicateSample* const* reps,
-                                       size_t count, double* out) {
-        estimator.EstimateReplicateBatch(reps, count, out);
-      };
-    }
   }
   return BootstrapAggregate(
       sample, pre != nullptr ? pre->view : nullptr, point, columnar,
       [&estimator](const IntegratedSample& resampled) {
         return estimator.EstimateImpact(resampled).corrected_sum;
       },
-      run_options);
+      options);
 }
 
 JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
@@ -401,7 +322,7 @@ JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
 
   const bool use_columnar =
       ResolveColumnar(evaluation, estimator.SupportsReplicates(),
-                      sample.policy(), /*has_materialized=*/true);
+                      /*has_materialized=*/true);
   // Reuse a cached flatten when the caller precomputed one (bit-identical;
   // see BootstrapAggregate above).
   std::optional<SampleView> local_view;
@@ -424,13 +345,9 @@ JackknifeInterval JackknifeCorrectedSum(const IntegratedSample& sample,
               view.BuildLeaveOneOut(excluded, &scratch, &rep);
               return estimator.EstimateReplicate(rep).corrected_sum;
             }
-            // Pooled leave-one-out materialization (see BootstrapAggregate).
-            // thread_local: per-worker arena — same LIFO-lease ownership
-            // argument as the bootstrap path above.
-            thread_local SampleArena arena;
-            const SampleArena::Lease lease = arena.Acquire(view.policy());
-            view.MaterializeLeaveOneOutInto(excluded, lease.get());
-            return estimator.EstimateImpact(*lease).corrected_sum;
+            return estimator
+                .EstimateImpact(view.MaterializeLeaveOneOut(excluded))
+                .corrected_sum;
           });
   std::vector<double> replicates;
   replicates.reserve(values.size());

@@ -19,10 +19,11 @@
 // allocations once warm. A MIN/MAX replicate is a fold, not a partition:
 // its statistic is the observed extreme, which
 // MinMaxEstimator::ObservedExtreme takes in one pass over the columns.
-// Only estimators without a columnar path fall back to materializing each
-// replicate (the pre-columnar behaviour, byte-for-byte) — and that
-// reference path rebuilds into per-thread SampleArena-pooled shells
-// (sample.h) rather than growing a fresh IntegratedSample per replicate.
+// Every columnar replicate runs through the estimator's one
+// EstimateReplicate entry point. Only estimators without a columnar path
+// (and the kMaterialized reference) fall back to materializing each
+// replicate as a fresh IntegratedSample (the pre-columnar behaviour,
+// byte-for-byte).
 //
 // DEGENERATE INPUTS. An all-non-finite replicate set (an estimator whose
 // species formula diverges on every resample) degrades the percentile
@@ -78,8 +79,8 @@ struct BootstrapOptions {
   ReplicateEvaluation evaluation = ReplicateEvaluation::kAuto;
   /// Replicates evaluated per pool task. A block > 1 amortizes the
   /// ParallelFor dispatch and keeps one worker's ReplicateScratch /
-  /// IndexScratch / SampleArena hot in cache across consecutive replicates
-  /// — the index-rebuild state is rebuilt per replicate either way, but a
+  /// IndexScratch hot in cache across consecutive replicates — the
+  /// index-rebuild state is rebuilt per replicate either way, but a
   /// blocked task pays its task-claim and closure overhead once per block.
   /// The engine additionally caps the effective block so every pool worker
   /// gets at least ~4 tasks (a wide pool never starves on a handful of
@@ -113,13 +114,8 @@ struct BootstrapOptions {
   /// on B replicates is bit-identical to a fixed-B run (every thread count,
   /// every block size). Ignored when `adaptive.enabled` is false.
   AdaptiveBudgetOptions adaptive;
-  /// Optional cross-replicate mega-batch evaluator: given `count` built
-  /// replicates, writes their corrected estimates into `out[0..count)`.
-  /// Callers whose estimator overrides SumEstimator::EstimateReplicateBatch
-  /// set this so the engine can gather many replicates' root split scans
-  /// into one DeltaFromStatsBatch call (amortizing per-replicate kernel
-  /// setup); results MUST be bit-identical to `columnar` per replicate —
-  /// the engine freely mixes the two paths. Null means one-at-a-time.
+  /// Kept only for perfbench/; deleted by ROADMAP item 1. The engine
+  /// ignores it: every columnar replicate runs through `columnar`.
   std::function<void(const ReplicateSample* const*, size_t, double*)>
       columnar_batch;
 };

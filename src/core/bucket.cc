@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "common/macros.h"
@@ -121,8 +120,7 @@ int64_t IndexScratch::ApproxBytes() const {
            VectorBytes(partition_.lane_value_sum) +
            VectorBytes(partition_.lane_singleton_sum) +
            VectorBytes(partition_.lane_delta) +
-           VectorBytes(partition_.lane_map) +
-           VectorBytes(partition_.root_left_cache);
+           VectorBytes(partition_.lane_map);
   bytes += VectorBytes(bounds_) + VectorBytes(buckets_);
   return bytes;
 }
@@ -146,8 +144,6 @@ void IndexScratch::Trim() {
   ReleaseVector(&partition_.lane_singleton_sum);
   ReleaseVector(&partition_.lane_delta);
   ReleaseVector(&partition_.lane_map);
-  ReleaseVector(&partition_.root_left_cache);
-  partition_.root_left_cache_valid = false;
   partition_.root_cut_hint = 0;
   ReleaseVector(&bounds_);
   ReleaseVector(&buckets_);
@@ -235,10 +231,7 @@ void SingleBucket(size_t size, std::vector<size_t>* bounds) {
 // Below this many candidates the per-scan fixed costs of the SoA path
 // (column growth checks, kernel prologue, vector epilogues) outweigh the
 // kernel win; tiny scans evaluate candidate by candidate instead. Both
-// paths produce identical results, so the crossover is pure tuning. Shared
-// by the root scan and the mega-batch precompute, which must agree on
-// whether a root takes the batched path (a cache for a per-candidate root
-// would go unread).
+// paths produce identical results, so the crossover is pure tuning.
 constexpr size_t kMinBatchCuts = 8;
 
 }  // namespace
@@ -325,12 +318,6 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
                                        PartitionScratch* scratch,
                                        std::vector<size_t>* bounds) const {
   UUQ_CHECK(scratch != nullptr && bounds != nullptr);
-  // One-shot arm: consume the mega-batch root cache unconditionally on
-  // entry, whatever path the scan takes below — a cache left armed across
-  // calls could describe a different index, and correctness must never
-  // depend on the producer/consumer pairing (see PartitionScratch).
-  const bool root_cache_armed = scratch->root_left_cache_valid;
-  scratch->root_left_cache_valid = false;
   const size_t size = index.size();
   if (size == 0) return SingleBucket(0, bounds);
 
@@ -518,20 +505,6 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
         }
       };
 
-      // MEGA-BATCH CACHE. When EstimateReplicateBatch precomputed this
-      // root's left halves (same gather, same kernel, one call spanning
-      // many replicates), phase 1 reads them instead of re-evaluating. Only
-      // the root qualifies (head == 0, no inherited memo) and the cut count
-      // must agree with the cache length — any mismatch means the cache
-      // describes some other index and is ignored. Value-identical by
-      // construction: at the root no half is known, so the bound below
-      // never prunes a left lane and EVERY left half is the kernel's output
-      // for its slice — exactly what the cache holds.
-      const double* root_cache =
-          (root_cache_armed && head == 0 && !work.has_memo &&
-           scratch->root_left_cache.size() == num_cuts)
-              ? scratch->root_left_cache.data()
-              : nullptr;
       for (size_t cand = 0; cand < num_cuts; cand += kScanBlock) {
         const size_t cand_end = std::min(num_cuts, cand + kScanBlock);
         const double prune = std::min(prune_seed, delta_min);
@@ -551,10 +524,6 @@ void DynamicPartitioner::PartitionInto(const SortedEntityIndex& index,
           const double bound = delta_rest + (left_known ? left : 0.0) +
                                (right_known ? right : 0.0);
           if (bound > prune || left_known) continue;
-          if (root_cache != nullptr) {
-            lhalf[i] = root_cache[i];
-            continue;
-          }
           gather(i, b_begin, cut_at[i], &lhalf[i]);
         }
         run_kernel(lhalf);
@@ -820,107 +789,6 @@ Estimate BucketSumEstimator::EstimateReplicate(const ReplicateSample& rep,
                      &scratch->buckets_);
   return CombineBuckets(name_, scratch->buckets_,
                         SampleStats::FromReplicate(rep));
-}
-
-Estimate BucketSumEstimator::EstimateReplicateBuilt(
-    const ReplicateSample& rep, IndexScratch* scratch) const {
-  // The mega-batch pass already rebuilt scratch->index_ for this replicate
-  // (and the rebuild is the point of batching: it dominates the non-scan
-  // cost); partition + evaluate straight off it.
-  ComputeBucketsInto(scratch->index_, &scratch->partition_, &scratch->bounds_,
-                     &scratch->buckets_);
-  return CombineBuckets(name_, scratch->buckets_,
-                        SampleStats::FromReplicate(rep));
-}
-
-void BucketSumEstimator::EstimateReplicateBatch(
-    const ReplicateSample* const* reps, size_t count,
-    double* corrected_sums) const {
-  if (count == 0) return;
-  // Only the batched dynamic scan can consume the root-scan cache; for any
-  // other partitioner — and for a batch of one, where there is nothing to
-  // amortize — the one-at-a-time path is the whole story.
-  if (count == 1 || !partitioner_->SupportsRootScanCache()) {
-    for (size_t i = 0; i < count; ++i) {
-      corrected_sums[i] = EstimateReplicate(*reps[i]).corrected_sum;
-    }
-    return;
-  }
-
-  // thread_local: mega-batch scratch — one IndexScratch per in-flight
-  // replicate slot plus the shared SoA gather columns and per-replicate
-  // lane bookkeeping. Owned by the worker thread running the batch; every
-  // rebuild starts from the scratch resting state, so results never depend
-  // on prior batches, and nothing here is read cross-thread.
-  static thread_local std::deque<IndexScratch> slot_pool;
-  static thread_local std::vector<double> col_n, col_c, col_f1;
-  static thread_local std::vector<double> col_mm1, col_vs, col_ss, col_out;
-  static thread_local std::vector<size_t> lane_begin, cut_count;
-  while (slot_pool.size() < count) slot_pool.emplace_back();
-
-  // Phase A: rebuild every replicate's index and gather every root
-  // candidate's LEFT slice stats into one shared lane space — the same
-  // UpperBoundOfValueAt cut walk and SliceColumnsInto gather the root scan
-  // itself runs, so lane values are the root scan's inputs verbatim.
-  size_t lane_cap = 0;
-  for (size_t k = 0; k < count; ++k) lane_cap += reps[k]->entities.size();
-  if (col_n.size() < lane_cap) {
-    col_n.resize(lane_cap);
-    col_c.resize(lane_cap);
-    col_f1.resize(lane_cap);
-    col_mm1.resize(lane_cap);
-    col_vs.resize(lane_cap);
-    col_ss.resize(lane_cap);
-    col_out.resize(lane_cap);
-  }
-  lane_begin.assign(count, 0);
-  cut_count.assign(count, 0);
-  size_t total_lanes = 0;
-  for (size_t k = 0; k < count; ++k) {
-    const SortedEntityIndex& index = slot_pool[k].RebuildIndex(*reps[k]);
-    const size_t size = index.size();
-    lane_begin[k] = total_lanes;
-    size_t num_cuts = 0;
-    if (size > 0) {
-      for (size_t cut = index.UpperBoundOfValueAt(0); cut < size;
-           cut = index.UpperBoundOfValueAt(cut)) {
-        index.SliceColumnsInto(0, cut, total_lanes + num_cuts, col_n.data(),
-                               col_c.data(), col_f1.data(), col_mm1.data(),
-                               col_vs.data(), col_ss.data());
-        ++num_cuts;
-      }
-    }
-    cut_count[k] = num_cuts;
-    total_lanes += num_cuts;
-  }
-
-  // One kernel call across every replicate's root lanes.
-  if (total_lanes > 0) {
-    StatsBatchView view;
-    view.size = total_lanes;
-    view.n = col_n.data();
-    view.c = col_c.data();
-    view.f1 = col_f1.data();
-    view.sum_mm1 = col_mm1.data();
-    view.value_sum = col_vs.data();
-    view.singleton_sum = col_ss.data();
-    inner_->DeltaFromStatsBatch(view, col_out.data());
-  }
-
-  // Phase B: hand each replicate its root column (only when the root scan
-  // will actually take the batched path — below kMinBatchCuts it runs
-  // candidate by candidate and the cache would go unread) and finish on the normal path,
-  // minus the redundant second index rebuild.
-  for (size_t k = 0; k < count; ++k) {
-    IndexScratch& scratch = slot_pool[k];
-    if (cut_count[k] >= kMinBatchCuts) {
-      auto& cache = scratch.partition_.root_left_cache;
-      cache.assign(col_out.begin() + lane_begin[k],
-                   col_out.begin() + lane_begin[k] + cut_count[k]);
-      scratch.partition_.root_left_cache_valid = true;
-    }
-    corrected_sums[k] = EstimateReplicateBuilt(*reps[k], &scratch).corrected_sum;
-  }
 }
 
 }  // namespace uuq

@@ -201,20 +201,6 @@ struct PartitionScratch {
   /// independent of what this scratch evaluated before — the one
   /// deliberately persistent field in an otherwise transient scratch).
   size_t root_cut_hint = 0;
-  /// Cross-replicate mega-batch handoff: the ROOT scan's left-half |Δ|
-  /// values, one per root candidate cut, precomputed by
-  /// BucketSumEstimator::EstimateReplicateBatch through the same
-  /// SliceColumnsInto gather + DeltaFromStatsBatch kernel the root scan
-  /// itself would run — value-identical because the root's phase 1 always
-  /// gathers EVERY left lane (there is no known half to prune against at
-  /// the root) and the kernel is a pure per-lane function. `valid` is a
-  /// one-shot arm: PartitionInto consumes + clears it on entry and only
-  /// uses the cache when the scan shape matches (batched serial root scan,
-  /// no inherited memo, cut count agreeing with the cache length); every
-  /// mismatch falls back to the normal gather, so a stale or foreign cache
-  /// can never change results — only waste the precomputation.
-  std::vector<double> root_left_cache;
-  bool root_left_cache_valid = false;
 };
 
 /// Partitioning strategy interface: returns bucket boundaries as half-open
@@ -232,12 +218,6 @@ class BucketPartitioner {
   /// Allocating convenience wrapper around PartitionInto.
   std::vector<size_t> Partition(const SortedEntityIndex& index,
                                 const StatsSumEstimator& inner) const;
-
-  /// True when PartitionInto can consume PartitionScratch::root_left_cache
-  /// (a precomputed root-scan left-half column). Only the batched dynamic
-  /// scan understands the handoff; everything else ignores the cache (the
-  /// arm flag is cleared by the consumer either way).
-  virtual bool SupportsRootScanCache() const { return false; }
 };
 
 /// §3.3.1: `num_buckets` equal-width value ranges over [min, max].
@@ -291,9 +271,8 @@ class EquiHeightPartitioner final : public BucketPartitioner {
 /// per-candidate virtual dispatch, auto-vectorizable), then the right
 /// halves of the candidates that can still win, then an in-order argmin
 /// that refreshes δmin for the next block. The root scan is probe-seeded
-/// (one candidate evaluated up front as a pruning reference) and can read
-/// its left halves from the mega-batch root_left_cache. Scans with fewer
-/// than 8 candidates skip the kernel and evaluate candidate by candidate.
+/// (one candidate evaluated up front as a pruning reference). Scans with
+/// fewer than 8 candidates skip the kernel and evaluate candidate by candidate.
 /// tests/support/reference_partitioner.h holds an independent exhaustive
 /// scan; partition_memo_test and bench_bootstrap's verify pass check this
 /// one against it bit for bit.
@@ -325,7 +304,6 @@ class DynamicPartitioner final : public BucketPartitioner {
   void PartitionInto(const SortedEntityIndex& index,
                      const StatsSumEstimator& inner, PartitionScratch* scratch,
                      std::vector<size_t>* bounds) const override;
-  bool SupportsRootScanCache() const override { return true; }
 
  private:
   CancelToken cancel_;
@@ -407,19 +385,6 @@ class BucketSumEstimator final : public SumEstimator {
   Estimate EstimateReplicate(const ReplicateSample& rep,
                              IndexScratch* scratch) const;
 
-  /// Cross-replicate mega-batching (core/estimate.h contract): rebuilds
-  /// every replicate's index, gathers ALL their root-scan left halves into
-  /// one DeltaFromStatsBatch kernel call, hands each result column to its
-  /// replicate's partition via PartitionScratch::root_left_cache, then
-  /// finishes each replicate on the normal path. Bit-identical to the
-  /// one-at-a-time path — the cache carries exactly the values the root
-  /// scan's own gather+kernel pass would compute. Only pays off for the
-  /// batched dynamic partitioner; other configurations fall back to the
-  /// one-at-a-time loop.
-  bool SupportsReplicateBatch() const override { return true; }
-  void EstimateReplicateBatch(const ReplicateSample* const* reps, size_t count,
-                              double* corrected_sums) const override;
-
   /// The full per-bucket breakdown (used by AVG and MIN/MAX, §5, and by the
   /// static-bucket ablation benches).
   std::vector<ValueBucket> ComputeBuckets(const IntegratedSample& sample) const;
@@ -441,11 +406,6 @@ class BucketSumEstimator final : public SumEstimator {
                           PartitionScratch* partition_scratch,
                           std::vector<size_t>* bounds,
                           std::vector<ValueBucket>* out) const;
-  /// Replicate evaluation on a scratch whose index_ is ALREADY rebuilt for
-  /// `rep` (the mega-batch tail: the batch pass rebuilt the index to walk
-  /// the root cuts, so re-rebuilding would double the dominant cost).
-  Estimate EstimateReplicateBuilt(const ReplicateSample& rep,
-                                  IndexScratch* scratch) const;
 
   std::shared_ptr<const BucketPartitioner> partitioner_;
   std::shared_ptr<const StatsSumEstimator> inner_;

@@ -74,9 +74,6 @@ void StatsSumEstimator::DeltaFromStatsBatch(const StatsBatchView& batch,
 void SumEstimator::EstimateReplicateBatch(const ReplicateSample* const* reps,
                                           size_t count,
                                           double* corrected_sums) const {
-  // Semantics-defining fallback: the scalar replicate path per entry. An
-  // override may share work across the batch but must match this bit for
-  // bit (see the header contract).
   for (size_t i = 0; i < count; ++i) {
     corrected_sums[i] = EstimateReplicate(*reps[i]).corrected_sum;
   }

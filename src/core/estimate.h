@@ -159,21 +159,12 @@ class SumEstimator {
   /// Aborts unless SupportsReplicates() — callers must check first.
   virtual Estimate EstimateReplicate(const ReplicateSample& rep) const;
 
-  /// Cross-replicate mega-batching: evaluate `count` already-built
-  /// replicates in one call, writing corrected_sums[i] =
-  /// EstimateReplicate(*reps[i]).corrected_sum. An estimator that returns
-  /// true from SupportsReplicateBatch() may amortize shared work across the
-  /// batch (e.g. the bucket estimator gathers every replicate's root split
-  /// scan into one DeltaFromStatsBatch kernel call), but the outputs MUST
-  /// be bit-identical to the one-at-a-time path — the adaptive-budget
-  /// escalation loop (core/adaptive_budget.h) relies on this to keep
-  /// adaptive==fixed bit-identity regardless of how replicates were
-  /// grouped. The default loops the scalar path; only meaningful when
-  /// SupportsReplicates() is also true.
-  virtual bool SupportsReplicateBatch() const { return false; }
-  virtual void EstimateReplicateBatch(const ReplicateSample* const* reps,
-                                      size_t count,
-                                      double* corrected_sums) const;
+  /// Kept only for perfbench/; deleted by ROADMAP item 1. No estimator
+  /// batches replicates: this is always false, and EstimateReplicateBatch
+  /// writes corrected_sums[i] = EstimateReplicate(*reps[i]).corrected_sum.
+  bool SupportsReplicateBatch() const { return false; }
+  void EstimateReplicateBatch(const ReplicateSample* const* reps, size_t count,
+                              double* corrected_sums) const;
 };
 
 /// Estimators whose math needs only SampleStats (naive, frequency). The

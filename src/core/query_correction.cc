@@ -140,14 +140,6 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
     }
   };
 
-  // Optional mega-batch evaluator for the bootstrap loop, set by aggregate
-  // cases whose estimator shares work across replicates (kSum's bucket
-  // estimator gathers every replicate's root split scan into one
-  // DeltaFromStatsBatch call); finish() threads it into the engine. The
-  // batch contract (estimate.h) pins it bit-identical to `columnar`.
-  std::function<void(const ReplicateSample* const*, size_t, double*)>
-      replicate_batch;
-
   // Shared tail of every aggregate case: first the cancellation gate — a
   // token that fired during the POINT estimate invalidates the whole
   // answer (the engines' under-cancellation outputs are clamps, not
@@ -167,9 +159,6 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
       if (options_.cancel.can_fire()) bootstrap_options.cancel = options_.cancel;
       if (bootstrap_options.pool == nullptr) {
         bootstrap_options.pool = options_.pool;
-      }
-      if (bootstrap_options.columnar_batch == nullptr) {
-        bootstrap_options.columnar_batch = replicate_batch;
       }
       answer.bootstrap = BootstrapAggregate(
           sample, pre != nullptr ? pre->view : nullptr, answer.corrected,
@@ -212,13 +201,6 @@ Result<CorrectedAnswer> QueryCorrector::CorrectFiltered(
         columnar = [sum_estimator](const ReplicateSample& rep) {
           return sum_estimator->EstimateReplicate(rep).corrected_sum;
         };
-        if (sum_estimator->SupportsReplicateBatch()) {
-          replicate_batch = [sum_estimator](
-                                const ReplicateSample* const* reps,
-                                size_t count, double* out) {
-            sum_estimator->EstimateReplicateBatch(reps, count, out);
-          };
-        }
       }
       return finish(columnar,
                     [sum_estimator](const IntegratedSample& resampled) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/macros.h"
-#include "common/scratch_metrics.h"
 #include "integration/source.h"
 
 namespace uuq {
@@ -47,8 +46,8 @@ void IntegratedSample::Record(int32_t source_index, int32_t entity_index,
   const size_t stat_index = static_cast<size_t>(entity_index);
   EntityStat& stat = entities_[stat_index];
   if (stat.multiplicity == 0) {
-    // New entity: multiplicity 0 -> 1. Reuse a pooled report buffer when
-    // Reset() left one behind (its allocation survives the clear).
+    // New entity: multiplicity 0 -> 1. Filter pre-sizes the report buffers;
+    // Add appends one here.
     if (reports_.size() <= stat_index) reports_.emplace_back();
     reports_[stat_index].push_back(value);
     stat.value = value;
@@ -109,26 +108,6 @@ void IntegratedSample::Add(const std::string& source_id,
   ++multiplicity_histogram_[old_mult + 1];
 
   Record(source_idx, static_cast<int32_t>(stat_index), value);
-}
-
-void IntegratedSample::Reset(FusionPolicy policy) {
-  policy_ = policy;
-  n_ = 0;
-  observed_sum_ = 0.0;
-  singleton_sum_ = 0.0;
-  // Clear each used report buffer IN PLACE: the vector-of-vectors keeps
-  // every inner allocation, so the next fill re-uses them slot by slot
-  // (reports_ only ever grows; slots past the new entity count are spares).
-  for (size_t i = 0; i < entities_.size() && i < reports_.size(); ++i) {
-    reports_[i].clear();
-  }
-  entities_.clear();
-  index_.clear();
-  multiplicity_histogram_.clear();
-  source_sizes_.clear();
-  source_names_.clear();
-  source_index_.clear();
-  log_.clear();
 }
 
 FrequencyStatistics IntegratedSample::Fstats() const {
@@ -221,90 +200,6 @@ IntegratedSample IntegratedSample::Filter(
     out.source_sizes_.emplace(out.source_names_[s], source_counts[s]);
   }
   return out;
-}
-
-int64_t IntegratedSample::ApproxBytes() const {
-  int64_t bytes =
-      static_cast<int64_t>(entities_.capacity() * sizeof(EntityStat));
-  bytes += static_cast<int64_t>(reports_.capacity() *
-                                sizeof(std::vector<double>));
-  for (const auto& r : reports_) {
-    bytes += static_cast<int64_t>(r.capacity() * sizeof(double));
-  }
-  bytes += static_cast<int64_t>(log_.capacity() * sizeof(RawObservation));
-  bytes += static_cast<int64_t>(source_names_.capacity() *
-                                sizeof(std::string));
-  // Node-based containers: one node per entry, element + two-pointer
-  // overhead as a flat estimate (string heap storage excluded).
-  bytes += static_cast<int64_t>(
-      index_.size() * (sizeof(std::string) + sizeof(size_t) + 16));
-  bytes += static_cast<int64_t>(multiplicity_histogram_.size() *
-                                (2 * sizeof(int64_t) + 16));
-  bytes += static_cast<int64_t>(
-      source_sizes_.size() *
-      (sizeof(std::string) + sizeof(int64_t) + 16));
-  bytes += static_cast<int64_t>(
-      source_index_.size() *
-      (sizeof(std::string) + sizeof(int32_t) + 16));
-  return bytes;
-}
-
-SampleArena::Lease::~Lease() {
-  if (arena_ != nullptr) arena_->Release(sample_);
-}
-
-SampleArena::~SampleArena() {
-  if (reported_bytes_ != 0) scratch::AddResidentBytes(-reported_bytes_);
-}
-
-void SampleArena::SyncResidentBytes() {
-  int64_t now = 0;
-  for (const auto& sample : free_) now += sample->ApproxBytes();
-  for (const auto& sample : leased_) now += sample->ApproxBytes();
-  if (now != reported_bytes_) {
-    scratch::AddResidentBytes(now - reported_bytes_);
-    reported_bytes_ = now;
-  }
-}
-
-void SampleArena::Trim() {
-  free_.clear();
-  SyncResidentBytes();
-}
-
-SampleArena::Lease SampleArena::Acquire(FusionPolicy policy) {
-  // Cooperative trim (scratch_metrics.h): one relaxed load per acquire; a
-  // requested trim drops the idle shells before recycling, so the pool's
-  // high-water from an earlier (larger) sample is released on the owning
-  // thread's next replicate.
-  const uint64_t epoch = scratch::TrimEpoch();
-  if (epoch != trim_epoch_seen_) {
-    trim_epoch_seen_ = epoch;
-    Trim();
-  }
-  std::unique_ptr<IntegratedSample> sample;
-  if (!free_.empty()) {
-    sample = std::move(free_.back());
-    free_.pop_back();
-    sample->Reset(policy);
-  } else {
-    sample = std::make_unique<IntegratedSample>(policy);
-  }
-  IntegratedSample* raw = sample.get();
-  leased_.push_back(std::move(sample));
-  SyncResidentBytes();
-  return Lease(this, raw);
-}
-
-void SampleArena::Release(IntegratedSample* sample) {
-  for (auto it = leased_.begin(); it != leased_.end(); ++it) {
-    if (it->get() == sample) {
-      free_.push_back(std::move(*it));
-      leased_.erase(it);
-      return;
-    }
-  }
-  UUQ_CHECK_MSG(false, "Lease released a sample this arena never leased");
 }
 
 Table IntegratedSample::ToTable(const std::string& table_name,

@@ -120,15 +120,6 @@ class SampleView {
   /// the view.
   explicit SampleView(const IntegratedSample& sample);
 
-  /// Every fusion policy now folds columnar (kMajority via the per-slot
-  /// report histogram). Retained so callers can keep gating on it; the
-  /// materializing fallback is only needed for estimators without a
-  /// columnar replicate path.
-  static bool PolicySupportsColumnar(FusionPolicy policy) {
-    (void)policy;
-    return true;
-  }
-
   int64_t num_sources() const {
     return static_cast<int64_t>(source_ids_.size());
   }
@@ -180,22 +171,9 @@ class SampleView {
   IntegratedSample MaterializeReplicate(
       const std::vector<int32_t>& draws) const;
 
-  /// Same, into a caller-owned (typically SampleArena-pooled) sample: `out`
-  /// is Reset() to this view's policy and rebuilt in place, reusing its
-  /// container capacity — the materializing-path hot loop. The result is
-  /// indistinguishable from MaterializeReplicate's return value through
-  /// every public accessor.
-  void MaterializeReplicateInto(const std::vector<int32_t>& draws,
-                                IntegratedSample* out) const;
-
   /// Materializes the leave-one-out sample (original ids and categories),
   /// matching the legacy jackknife replay.
   IntegratedSample MaterializeLeaveOneOut(int32_t excluded) const;
-
-  /// Pooled-sample variant of MaterializeLeaveOneOut (see
-  /// MaterializeReplicateInto).
-  void MaterializeLeaveOneOutInto(int32_t excluded,
-                                  IntegratedSample* out) const;
 
  private:
   /// Fills out->source_sizes with the replicate's n_j in the order the

@@ -29,7 +29,7 @@
 // BIT-IDENTITY CONTRACT. Every artifact is a pure deterministic function of
 // the sample (and, for the advice, of the advisor options the cache was
 // built with), so cached answers are byte-for-byte the answers the uncached
-// path computes. Tests pin this, and bench_serving's UUQ_BENCH_VERIFY pass
+// path computes. Tests pin this, and bench_serving's verify pass
 // re-checks it end-to-end before timing — a wrong-answer cache speedup
 // fails the build, it does not ship. `UUQ_SERVE_CACHE=0` is the runtime
 // escape hatch (query_service.h).

@@ -232,17 +232,40 @@ TEST(LintEnvDoc, DocumentedEnvVarsIgnoresProseMentions) {
             (std::vector<std::string>{"UUQ_ROW_A", "UUQ_ROW_B"}));
 }
 
-// The env-doc twin of LintTree below: every getenv("UUQ_*") read across
-// src/, bench/ AND tools/ must have a row in README.md's env table. This is
-// the test that fails when someone adds a knob without documenting it.
-TEST(LintEnvDoc, RepositoryEnvReadsAreAllDocumented) {
-  const fs::path root(UUQ_LINT_SRC_ROOT);
-  const std::string readme = ReadFile(root / "README.md");
-  const std::vector<std::string> documented =
-      uuq_lint::DocumentedEnvVars(readme);
-  ASSERT_GT(documented.size(), 10u)
-      << "README env table parse found suspiciously few rows";
+TEST(LintEnvDocStale, FiresOnEnvTableRowsNoReadNames) {
+  std::vector<std::string> read;
+  uuq_lint::EnvReads(
+      "bool On() { return std::getenv(\"UUQ_LIVE_KNOB\"); }\n"
+      "// std::getenv(\"UUQ_COMMENT_KNOB\") in a comment is no read\n"
+      "bool Wrapped() {\n"
+      "  return std::getenv(\n"
+      "             \"UUQ_WRAPPED_KNOB\") != nullptr;\n"
+      "}\n"
+      "bool Again() { return std::getenv(\"UUQ_LIVE_KNOB\"); }\n",
+      &read);
+  EXPECT_EQ(read,
+            (std::vector<std::string>{"UUQ_LIVE_KNOB", "UUQ_WRAPPED_KNOB"}));
 
+  const std::vector<uuq_lint::Finding> stale = uuq_lint::LintEnvDocStale(
+      "README.md",
+      "| Variable | Effect |\n"
+      "|---|---|\n"
+      "| `UUQ_LIVE_KNOB` | read |\n"
+      "| `UUQ_COMMENT_KNOB` | only a comment names it |\n"
+      "  | `UUQ_WRAPPED_KNOB` | read through a wrapped call |\n"
+      "| `lane` | a later cell naming `UUQ_GONE_KNOB` is not an env row |\n",
+      read);
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale.front().rule, "env-doc-stale");
+  EXPECT_EQ(stale.front().file, "README.md");
+  EXPECT_EQ(stale.front().line, 4);
+  EXPECT_NE(stale.front().message.find("UUQ_COMMENT_KNOB"), std::string::npos);
+}
+
+// Every src/, bench/ and tools/ header and source: the files whose getenv
+// reads the env-doc rules check against README.md's env table.
+std::vector<std::pair<std::string, fs::path>> EnvScannedFiles(
+    const fs::path& root) {
   std::vector<std::pair<std::string, fs::path>> files;
   for (const char* dir : {"src", "bench", "tools"}) {
     const fs::path sub = root / dir;
@@ -257,6 +280,21 @@ TEST(LintEnvDoc, RepositoryEnvReadsAreAllDocumented) {
     }
   }
   std::sort(files.begin(), files.end());
+  return files;
+}
+
+// The env-doc twin of LintTree below: every getenv("UUQ_*") read across
+// src/, bench/ AND tools/ must have a row in README.md's env table. This is
+// the test that fails when someone adds a knob without documenting it.
+TEST(LintEnvDoc, RepositoryEnvReadsAreAllDocumented) {
+  const fs::path root(UUQ_LINT_SRC_ROOT);
+  const std::string readme = ReadFile(root / "README.md");
+  const std::vector<std::string> documented =
+      uuq_lint::DocumentedEnvVars(readme);
+  ASSERT_GT(documented.size(), 10u)
+      << "README env table parse found suspiciously few rows";
+
+  const auto files = EnvScannedFiles(root);
   ASSERT_GT(files.size(), 20u);
   for (const auto& [label, disk_path] : files) {
     for (const uuq_lint::Finding& f :
@@ -264,6 +302,23 @@ TEST(LintEnvDoc, RepositoryEnvReadsAreAllDocumented) {
       ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] "
                     << f.message << "\n    " << f.raw;
     }
+  }
+}
+
+// The reverse direction: every row of README.md's env table names a knob
+// some scanned getenv reads. This is the test that fails when a knob is
+// deleted but its row stays.
+TEST(LintEnvDocStale, RepositoryEnvTableRowsAreAllRead) {
+  const fs::path root(UUQ_LINT_SRC_ROOT);
+  std::vector<std::string> read;
+  for (const auto& [label, disk_path] : EnvScannedFiles(root)) {
+    uuq_lint::EnvReads(ReadFile(disk_path), &read);
+  }
+  ASSERT_GT(read.size(), 10u) << "tree scan found suspiciously few reads";
+  for (const uuq_lint::Finding& f : uuq_lint::LintEnvDocStale(
+           "README.md", ReadFile(root / "README.md"), read)) {
+    ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] "
+                  << f.message << "\n    " << f.raw;
   }
 }
 

@@ -200,8 +200,8 @@ TEST(PartitionMemoFuzz, IntervalEndpointsBitIdenticalAcrossPathsAndThreads) {
 TEST(PartitionMemoFuzz, HeavyTailCrowdAtBenchmarkScaleMatchesReference) {
   // The serve-distinct sample shape: a 20k-item heavy-tail population seen
   // by 200 crowd sources x 100 answers (~8.7k distinct entities, so the
-  // root scan runs thousands of candidates through the batched kernel and
-  // the mega-batch root cache). The partition and a B=48 interval must
+  // root scan runs thousands of candidates through the batched kernel).
+  // The partition and a B=48 interval must
   // match the reference partitioner bit for bit.
   HeavyTailPopulationConfig population_config;
   population_config.num_items = 20000;

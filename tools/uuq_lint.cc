@@ -1,8 +1,10 @@
 // uuq_lint CLI — see tools/uuq_lint_lib.h for the rules.
 //
 //   uuq_lint --root <repo>            lint src/**/*.{h,cc} (tier-1 ctest);
-//                                     the env-doc rule additionally scans
-//                                     bench/ and tools/
+//                                     the env-doc rules additionally scan
+//                                     bench/ and tools/, and env-doc-stale
+//                                     checks README.md's env table against
+//                                     every getenv read found
 //   uuq_lint --self-test              run the embedded rule corpus
 //   uuq_lint --extra <file> ...       lint additional files (CI negative test)
 //   uuq_lint --allowlist <file>       override <root>/tools/uuq_lint_allowlist.txt
@@ -194,11 +196,13 @@ int main(int argc, char** argv) {
   }
 
   std::vector<uuq_lint::Finding> findings;
+  std::vector<std::string> knobs_read;  // distinct UUQ_* getenv reads
   size_t scanned = 0;
   for (const auto& [label, disk_path] : files) {
     std::string content;
     if (!ReadFileOrDie(disk_path, &content)) return 2;
     ++scanned;
+    uuq_lint::EnvReads(content, &knobs_read);
     std::vector<uuq_lint::Finding> file_findings =
         uuq_lint::LintFile(label, content);
     if (have_readme) {
@@ -217,11 +221,22 @@ int main(int argc, char** argv) {
       std::string content;
       if (!ReadFileOrDie(disk_path, &content)) return 2;
       ++scanned;
+      uuq_lint::EnvReads(content, &knobs_read);
       std::vector<uuq_lint::Finding> env_findings =
           uuq_lint::LintEnvDocFile(label, content, documented);
       findings.insert(findings.end(),
                       std::make_move_iterator(env_findings.begin()),
                       std::make_move_iterator(env_findings.end()));
+    }
+    // Only a tree scan has seen every read, so only it can call a row
+    // stale (a bare --extra run would flag the whole table).
+    if (!root.empty()) {
+      std::string readme;
+      if (!ReadFileOrDie(readme_file, &readme)) return 2;
+      std::vector<uuq_lint::Finding> stale = uuq_lint::LintEnvDocStale(
+          RelativeLabel(readme_file, root_path), readme, knobs_read);
+      findings.insert(findings.end(), std::make_move_iterator(stale.begin()),
+                      std::make_move_iterator(stale.end()));
     }
   }
 
@@ -239,10 +254,14 @@ int main(int argc, char** argv) {
 
   if (!findings.empty()) {
     PrintFindings(findings);
-    std::fprintf(stderr, "uuq_lint: %zu finding(s) across %zu file(s)\n",
-                 findings.size(), scanned);
+    std::fprintf(stderr,
+                 "uuq_lint: %zu finding(s) across %zu file(s), %zu UUQ_* "
+                 "knobs read\n",
+                 findings.size(), scanned, knobs_read.size());
     return 1;
   }
-  std::fprintf(stderr, "uuq_lint: clean (%zu files scanned)\n", scanned);
+  std::fprintf(stderr,
+               "uuq_lint: clean (%zu files scanned, %zu UUQ_* knobs read)\n",
+               scanned, knobs_read.size());
   return 0;
 }

@@ -41,6 +41,11 @@
 //                    promise. This rule runs OUTSIDE LintFile (it needs the
 //                    README's documented-var set) via LintEnvDocFile, and
 //                    scans bench/ and tools/ in addition to src/.
+//   env-doc-stale    a row of README.md's environment-variable table naming
+//                    a `UUQ_*` knob that no scanned getenv() reads — a
+//                    deleted knob whose documentation still promises it.
+//                    Runs on a tree scan only (LintEnvDocStale), after
+//                    every file's reads are collected (EnvReads).
 //
 // Allowlist: `rule|path-suffix|line-substring` entries (tools/
 // uuq_lint_allowlist.txt) suppress grandfathered sites; `#` starts a
@@ -53,6 +58,7 @@
 #include <cctype>
 #include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace uuq_lint {
@@ -371,18 +377,17 @@ inline void LintThreadLocalJustification(const std::string& path,
   }
 }
 
-/// env-doc: every same-line (or next-line, for a wrapped call) `UUQ_*`
-/// token of a getenv() read must appear in `documented` — the set parsed
-/// from README.md's env table by DocumentedEnvVars below. The variable name
-/// lives in a string literal, which the code view blanks, so the token is
-/// extracted from the RAW line while the getenv call itself is matched on
-/// the code view (a getenv in a comment or string never fires).
-inline void LintEnvDoc(const std::string& path,
-                       const std::vector<SourceLine>& lines,
-                       const std::vector<std::string>& documented,
-                       std::vector<Finding>* out) {
+/// Every `UUQ_*` variable a getenv() call reads, with the call's line
+/// index: the same-line token, or the next line's for a call wrapped before
+/// its argument. The variable name lives in a string literal, which the
+/// code view blanks, so the token is extracted from the RAW line while the
+/// getenv call itself is matched on the code view (a getenv in a comment
+/// or string never counts).
+inline std::vector<std::pair<size_t, std::string>> GetenvReads(
+    const std::vector<SourceLine>& lines) {
   static const std::regex kGetenv(R"(\bgetenv\s*\()");
   static const std::regex kVar(R"(UUQ_[A-Z0-9_]+)");
+  std::vector<std::pair<size_t, std::string>> reads;
   for (size_t i = 0; i < lines.size(); ++i) {
     if (!std::regex_search(lines[i].code, kGetenv)) continue;
     const bool same_line = std::regex_search(lines[i].raw, kVar);
@@ -392,15 +397,26 @@ inline void LintEnvDoc(const std::string& path,
     for (std::sregex_iterator it(haystack.begin(), haystack.end(), kVar),
          end;
          it != end; ++it) {
-      const std::string var = it->str();
-      if (std::find(documented.begin(), documented.end(), var) ==
-          documented.end()) {
-        AddFinding(out, "env-doc", path, static_cast<int>(i + 1),
-                   lines[i].raw,
-                   "getenv of " + var +
-                       " has no row in README.md's environment-variable "
-                       "table — document the knob (or fix the name)");
-      }
+      reads.emplace_back(i, it->str());
+    }
+  }
+  return reads;
+}
+
+/// env-doc: every `UUQ_*` variable a getenv() reads must appear in
+/// `documented` — the set parsed from README.md's env table by
+/// DocumentedEnvVars below.
+inline void LintEnvDoc(const std::string& path,
+                       const std::vector<SourceLine>& lines,
+                       const std::vector<std::string>& documented,
+                       std::vector<Finding>* out) {
+  for (const auto& [i, var] : GetenvReads(lines)) {
+    if (std::find(documented.begin(), documented.end(), var) ==
+        documented.end()) {
+      AddFinding(out, "env-doc", path, static_cast<int>(i + 1), lines[i].raw,
+                 "getenv of " + var +
+                     " has no row in README.md's environment-variable "
+                     "table — document the knob (or fix the name)");
     }
   }
 }
@@ -463,6 +479,51 @@ inline std::vector<Finding> LintEnvDocFile(
   }
   const std::vector<SourceLine> lines = SplitAndStrip(content);
   internal::LintEnvDoc(path, lines, documented, &findings);
+  return findings;
+}
+
+/// Appends to `*vars` each `UUQ_*` variable that `content` reads through
+/// getenv() (env-doc's matching) and `*vars` does not hold yet. A tree
+/// scan collects every file's reads this way; the result's size is the
+/// number of distinct knobs the program reads.
+inline void EnvReads(const std::string& content,
+                     std::vector<std::string>* vars) {
+  for (const auto& read : internal::GetenvReads(SplitAndStrip(content))) {
+    if (std::find(vars->begin(), vars->end(), read.second) == vars->end()) {
+      vars->push_back(read.second);
+    }
+  }
+}
+
+/// env-doc-stale: one finding per row of README.md's environment-variable
+/// table (a markdown table row whose first cell is a single backticked
+/// `UUQ_*` name) whose knob is not in `read`, the EnvReads of every
+/// scanned file. Rows of other tables that merely mention a `UUQ_*` token
+/// in a later cell are not env-table rows.
+inline std::vector<Finding> LintEnvDocStale(
+    const std::string& readme_path, const std::string& readme,
+    const std::vector<std::string>& read) {
+  static const std::regex kRow(R"(^\s*\|\s*`(UUQ_[A-Z0-9_]+)`\s*\|)");
+  std::vector<Finding> findings;
+  size_t start = 0;
+  int line_no = 0;
+  while (start <= readme.size()) {
+    size_t end = readme.find('\n', start);
+    if (end == std::string::npos) end = readme.size();
+    const std::string line = readme.substr(start, end - start);
+    start = end + 1;
+    ++line_no;
+    std::smatch match;
+    if (!std::regex_search(line, match, kRow)) continue;
+    const std::string var = match[1].str();
+    if (std::find(read.begin(), read.end(), var) == read.end()) {
+      internal::AddFinding(&findings, "env-doc-stale", readme_path, line_no,
+                           line,
+                           var + " has a row in the environment-variable "
+                                 "table but no scanned getenv reads it — "
+                                 "delete the row (or restore the read)");
+    }
+  }
   return findings;
 }
 
@@ -642,6 +703,26 @@ inline bool RunSelfTest(std::vector<std::string>* errors) {
     if (!good.empty()) {
       ok = false;
       errors->push_back("rule 'env-doc' clean snippet unexpectedly flagged");
+    }
+  }
+  // env-doc-stale needs every scanned file's reads, so its corpus lives
+  // here too: a row whose knob no file reads fires; a read row, and a row
+  // of another table that names a knob in a later cell, do not.
+  {
+    std::vector<std::string> read;
+    EnvReads("bool On() { return std::getenv(\"UUQ_READ_KNOB\"); }\n",
+             &read);
+    const std::string readme =
+        "| `UUQ_READ_KNOB` | read by the snippet |\n"
+        "| `UUQ_DELETED_KNOB` | nothing reads it |\n"
+        "| `ci-lane` | sets `UUQ_OTHER_KNOB` in a later cell |\n";
+    const std::vector<Finding> stale =
+        LintEnvDocStale("README.md", readme, read);
+    if (stale.size() != 1 || stale.front().rule != "env-doc-stale" ||
+        stale.front().line != 2) {
+      ok = false;
+      errors->push_back(
+          "rule 'env-doc-stale' did not fire on exactly its stale row");
     }
   }
   return ok;
